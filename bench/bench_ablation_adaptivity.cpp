@@ -25,7 +25,7 @@ core::RunReport run_drift(const bench::BenchConfig& config, bool adaptive) {
 
 int main(int argc, char** argv) {
   Flags flags = bench::standard_flags();
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const bool csv = flags.get_bool("csv");
   bench::BenchConfig config = bench::config_from_flags(flags, "bw:0.5");
   config.dram_capacity = 64 * kMiB;

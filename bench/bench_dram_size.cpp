@@ -5,7 +5,7 @@
 int main(int argc, char** argv) {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const bool csv = flags.get_bool("csv");
 
   Table table({"workload", "DRAM=128MiB", "DRAM=256MiB", "DRAM=512MiB",

@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
   flags.define_string("check-min-ratio", "1.0",
                       "minimum channel/chaselev throughput ratio");
   bench::register_artifact_flags(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
 
   // Arms the fault injector and turns on histograms (steal latency, park
   // time, task duration) + tracing with any artifact request; off

@@ -6,7 +6,7 @@
 int main(int argc, char** argv) {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const bool csv = flags.get_bool("csv");
 
   const std::vector<std::string> specs{"bw:0.5", "bw:0.25", "bw:0.125"};

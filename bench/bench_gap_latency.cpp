@@ -5,7 +5,7 @@
 int main(int argc, char** argv) {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const bool csv = flags.get_bool("csv");
 
   const std::vector<std::string> specs{"lat:2", "lat:4", "lat:8"};

@@ -23,7 +23,7 @@ double pinned_normalized(const std::string& workload,
 
 int main(int argc, char** argv) {
   Flags flags = bench::standard_flags();
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const bool csv = flags.get_bool("csv");
 
   const std::vector<std::pair<std::string, std::vector<std::string>>>

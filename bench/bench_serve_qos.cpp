@@ -91,12 +91,7 @@ int main(int argc, char** argv) {
                     "high-priority tenant's p99 over quota-free");
   flags.define_bool("csv", false, "also emit CSV");
   bench::register_artifact_flags(flags);
-  try {
-    flags.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << '\n' << flags.usage(argv[0]);
-    return 2;
-  }
+  flags.parse_or_exit(argc, argv);
   const bench::ArtifactFlags artifacts = bench::apply_artifact_flags(flags);
 
   memsim::Machine machine = memsim::machines::optane_platform(

@@ -121,7 +121,7 @@ int main(int argc, char** argv) {
                     "over the reference at 100k+ flows");
   flags.define_bool("csv", false, "emit CSV after the table");
   tahoe::bench::register_artifact_flags(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const tahoe::bench::ArtifactFlags artifacts =
       tahoe::bench::apply_artifact_flags(flags);
 

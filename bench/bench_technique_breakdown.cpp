@@ -9,7 +9,7 @@
 int main(int argc, char** argv) {
   using namespace tahoe;
   Flags flags = bench::standard_flags();
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const bool csv = flags.get_bool("csv");
   const bench::BenchConfig config = bench::config_from_flags(flags, "bw:0.5");
 

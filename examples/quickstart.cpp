@@ -104,7 +104,7 @@ int main(int argc, char** argv) {
                     "same-seed runs write byte-identical reports");
   tahoe::fault::register_flags(flags);
   tahoe::trace::register_telemetry_flags(flags);
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   tahoe::fault::configure_from_flags(flags);
   const std::string trace_out = flags.get_string("trace-out");
   const std::string report_json = flags.get_string("report-json");

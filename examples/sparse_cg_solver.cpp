@@ -27,7 +27,7 @@ int main(int argc, char** argv) {
                       "write the Tahoe run's RunReport as JSON here");
   flags.define_string("explain-out", "",
                       "write the Tahoe run's plan provenance as JSON here");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
   const std::string trace_out = flags.get_string("trace-out");
   const std::string report_json = flags.get_string("report-json");
   const std::string explain_out = flags.get_string("explain-out");

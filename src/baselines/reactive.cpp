@@ -102,10 +102,13 @@ core::PlanDecision ReactiveLruPolicy::decide(const core::PlanInputs& in) {
   const WalkResult first = walk(in, current, last_used);
   const WalkResult steady = walk(in, first.end_residency, last_used);
 
+  core::Residency start;
+  for (const Unit& u : first.end_residency) {
+    start[u] = in.machine->fastest_tier();
+  }
   core::PlanDecision decision;
   decision.strategy = "reactive";
-  decision.schedule =
-      core::cyclic_preamble(in, first.end_residency, steady.schedule);
+  decision.schedule = core::cyclic_preamble(in, start, steady.schedule);
   decision.schedule.insert(decision.schedule.end(), steady.schedule.begin(),
                            steady.schedule.end());
   decision.decision_seconds =

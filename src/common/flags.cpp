@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <iostream>
 #include <sstream>
 #include <string_view>
 
@@ -19,6 +20,12 @@ const char* kind_name(int k) {
     case 3: return "string";
   }
   return "?";
+}
+
+/// A command-line mistake: the message alone is what the user needs (no
+/// source location, unlike TAHOE_REQUIRE's programming-error report).
+void check_arg(bool ok, const std::string& msg) {
+  if (!ok) throw ContractError(msg);
 }
 
 }  // namespace
@@ -63,10 +70,10 @@ std::vector<std::string> Flags::parse(int argc, const char* const* argv) {
       value = arg.substr(eq + 1);
       has_value = true;
     }
-    TAHOE_REQUIRE(!name.empty(),
-                  "bare '--' is not a flag; expected --name or --name=value");
+    check_arg(!name.empty(),
+              "bare '--' is not a flag; expected --name or --name=value");
     auto it = entries_.find(name);
-    TAHOE_REQUIRE(it != entries_.end(), "unknown flag --" + name);
+    check_arg(it != entries_.end(), "unknown flag --" + name);
     Entry& e = it->second;
     if (!has_value) {
       if (e.kind == Kind::Bool) {
@@ -79,7 +86,7 @@ std::vector<std::string> Flags::parse(int argc, const char* const* argv) {
           value = "true";
         }
       } else {
-        TAHOE_REQUIRE(i + 1 < argc, "flag --" + name + " needs a value");
+        check_arg(i + 1 < argc, "flag --" + name + " needs a value");
         value = argv[++i];
       }
     }
@@ -88,25 +95,42 @@ std::vector<std::string> Flags::parse(int argc, const char* const* argv) {
       char* end = nullptr;
       errno = 0;
       (void)std::strtoll(value.c_str(), &end, 10);
-      TAHOE_REQUIRE(end != nullptr && *end == '\0' && !value.empty() &&
-                        errno != ERANGE,
-                    "flag --" + name + " expects an integer, got '" + value + "'");
+      check_arg(end != nullptr && *end == '\0' && !value.empty() &&
+                    errno != ERANGE,
+                "flag --" + name + " expects an integer, got '" + value + "'");
     } else if (e.kind == Kind::Double) {
       char* end = nullptr;
       errno = 0;
       const double parsed = std::strtod(value.c_str(), &end);
       // ERANGE covers overflow (±HUGE_VAL) and underflow; only overflow is
       // a lie worth rejecting — underflow to (sub)normal zero is benign.
-      TAHOE_REQUIRE(end != nullptr && *end == '\0' && !value.empty() &&
-                        !(errno == ERANGE && std::isinf(parsed)),
-                    "flag --" + name + " expects a number, got '" + value + "'");
+      check_arg(end != nullptr && *end == '\0' && !value.empty() &&
+                    !(errno == ERANGE && std::isinf(parsed)),
+                "flag --" + name + " expects a number, got '" + value + "'");
     } else if (e.kind == Kind::Bool) {
-      TAHOE_REQUIRE(value == "true" || value == "false",
-                    "flag --" + name + " expects true/false");
+      check_arg(value == "true" || value == "false",
+                "flag --" + name + " expects true/false");
     }
     e.value = value;
   }
   return positional;
+}
+
+std::vector<std::string> Flags::parse_or_exit(int argc,
+                                              const char* const* argv) {
+  const std::string program = argc > 0 ? argv[0] : "program";
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == "--help") {
+      std::cout << usage(program);
+      std::exit(0);
+    }
+  }
+  try {
+    return parse(argc, argv);
+  } catch (const ContractError& e) {
+    std::cerr << program << ": " << e.what() << '\n' << usage(program);
+    std::exit(2);
+  }
 }
 
 const Flags::Entry& Flags::lookup(const std::string& name, Kind kind) const {

@@ -3,7 +3,8 @@
 // Syntax: --name=value or --name value; bare --flag sets a bool to true,
 // and a bool flag followed by a literal true/false token consumes it
 // (--csv false). Unknown flags, bare "--", and out-of-range numeric values
-// are errors so that typos in sweep scripts fail loudly.
+// are errors so that typos in sweep scripts fail loudly; programs parse
+// with parse_or_exit(), which turns them into a usage message and exit 2.
 #pragma once
 
 #include <cstdint>
@@ -27,6 +28,11 @@ class Flags {
   /// Parse argv. Throws ContractError on unknown flags or bad values.
   /// Returns positional (non-flag) arguments.
   std::vector<std::string> parse(int argc, const char* const* argv);
+
+  /// parse() for a program's main(): `--help` prints usage() to stdout and
+  /// exits 0; an unknown flag or bad value prints the error and usage() to
+  /// stderr and exits 2.
+  std::vector<std::string> parse_or_exit(int argc, const char* const* argv);
 
   std::int64_t get_int(const std::string& name) const;
   double get_double(const std::string& name) const;

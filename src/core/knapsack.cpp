@@ -146,6 +146,22 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
       std::pow(static_cast<double>(state_budget), 1.0 / static_cast<double>(T));
   const std::uint64_t grid = std::max<std::uint64_t>(
       1, std::min<std::uint64_t>(2048, static_cast<std::uint64_t>(per_dim) - 1));
+
+  if (T == 1) {
+    // One constrained tier is the 0/1 knapsack: solve() makes the same
+    // comparisons over the same granule grid in the same item order, so
+    // the assignment is identical, without the per-state choice table.
+    std::vector<KnapsackItem> flat(items.size());
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      flat[i] = {items[i].size, items[i].values[0]};
+    }
+    for (const std::size_t i :
+         solve(flat, capacities[0], static_cast<std::uint32_t>(grid)).chosen) {
+      result.assignment[i] = 0;
+    }
+    finalize_multi(result, items, T);
+    return result;
+  }
   std::vector<std::uint64_t> granule(T), cap_g(T);
   std::size_t num_states = 1;
   for (std::size_t t = 0; t < T; ++t) {

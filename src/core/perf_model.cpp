@@ -7,19 +7,6 @@
 
 namespace tahoe::core {
 
-PerfModel::PerfModel(ModelConstants constants, memsim::DeviceModel dram,
-                     memsim::DeviceModel nvm, double copy_engine_bw,
-                     std::uint64_t sample_interval)
-    : constants_(constants),
-      copy_bw_(copy_engine_bw),
-      interval_(sample_interval) {
-  tiers_.push_back(std::move(dram));
-  tiers_.push_back(std::move(nvm));
-  TAHOE_REQUIRE(copy_bw_ > 0.0, "copy bandwidth must be positive");
-  TAHOE_REQUIRE(interval_ > 0, "sample interval must be positive");
-  TAHOE_REQUIRE(constants_.t2 < constants_.t1, "thresholds must satisfy t2 < t1");
-}
-
 PerfModel::PerfModel(ModelConstants constants, const memsim::Machine& machine)
     : constants_(constants),
       tiers_(machine.devices),
@@ -50,24 +37,6 @@ Sensitivity PerfModel::classify(double bw_estimate) const {
   if (ratio >= constants_.t1) return Sensitivity::Bandwidth;
   if (ratio <= constants_.t2) return Sensitivity::Latency;
   return Sensitivity::Mixed;
-}
-
-double PerfModel::benefit_bw(const memsim::SampledCounts& s,
-                             bool distinguish_rw) const {
-  return benefit_bw_pair(s, distinguish_rw,
-                         static_cast<memsim::TierId>(tiers_.size() - 1), 0);
-}
-
-double PerfModel::benefit_lat(const memsim::SampledCounts& s,
-                              bool distinguish_rw) const {
-  return benefit_lat_pair(s, distinguish_rw,
-                          static_cast<memsim::TierId>(tiers_.size() - 1), 0);
-}
-
-double PerfModel::benefit(const memsim::SampledCounts& s, double phase_seconds,
-                          bool distinguish_rw) const {
-  return benefit_pair(s, phase_seconds, distinguish_rw,
-                      static_cast<memsim::TierId>(tiers_.size() - 1), 0);
 }
 
 double PerfModel::benefit_bw_pair(const memsim::SampledCounts& s,
@@ -123,17 +92,6 @@ double PerfModel::benefit_pair(const memsim::SampledCounts& s,
                       benefit_lat_pair(s, distinguish_rw, src, dst));
   }
   TAHOE_UNREACHABLE("bad sensitivity");
-}
-
-double PerfModel::movement_cost(std::uint64_t bytes, double overlap_window,
-                                bool to_dram) const {
-  return std::max(copy_seconds(bytes, to_dram) - overlap_window, 0.0);
-}
-
-double PerfModel::copy_seconds(std::uint64_t bytes, bool to_dram) const {
-  const memsim::TierId last = static_cast<memsim::TierId>(tiers_.size() - 1);
-  return to_dram ? copy_seconds_pair(bytes, last, 0)
-                 : copy_seconds_pair(bytes, 0, last);
 }
 
 double PerfModel::movement_cost_pair(std::uint64_t bytes,

@@ -3,18 +3,23 @@
 // Workflow (Section "data placement decision and enforcement" of the paper
 // line, re-targeted to task groups):
 //
-//  1. For each group, every profiled data unit gets an Eq. (7) weight
+//  1. For each group, every profiled data unit gets one Eq. (7) weight per
+//     constrained tier (every tier except the capacity tier):
 //     w = BFT - COST - extra_COST, where BFT comes from the calibrated
 //     performance models (Eqs. (1)-(5)), COST from Eq. (6) with the
 //     overlap window derived from the task graph's last-reference
 //     analysis, and extra_COST from the evictions needed to make room.
-//  2. Per-group 0/1 knapsacks produce the *phase-local* plan; a single
-//     knapsack over per-unit benefits summed across groups produces the
-//     *cross-phase global* plan.
+//  2. Per-group multi-choice knapsacks (core::solve_multi) produce the
+//     *phase-local* plan; a single knapsack over per-unit benefits summed
+//     across groups produces the *cross-phase global* plan. A two-tier
+//     DRAM/NVM machine is the one-constrained-tier case, where the
+//     multi-choice knapsack is the paper's 0/1 knapsack.
 //  3. The plan with the larger predicted per-iteration gain wins and is
 //     compiled into a cyclic ScheduledCopy list (with a preamble that
 //     reconciles the decision-time placement on the first enforcement
-//     iteration).
+//     iteration). The phase-local body is iterated to its cyclic fixed
+//     point, or closed with explicit restore copies, so every iteration
+//     starts from the same residency.
 #pragma once
 
 #include <optional>
@@ -51,33 +56,9 @@ class TahoePolicy : public Policy {
   PlanDecision decide(const PlanInputs& in) override;
 
  private:
-  /// N-tier planning path (machines with more than two tiers): per-group
-  /// and cross-phase multi-choice knapsacks over every constrained tier.
-  /// The two-tier path in decide() is kept separate and untouched so its
-  /// numeric behavior (and the byte-stable reports built on it) cannot
-  /// drift.
-  PlanDecision decide_multi(const PlanInputs& in);
-
   ModelConstants constants_;
   TahoeOptions options_;
 };
-
-/// Per-unit, per-group weight details — exposed for tests and the
-/// ablation benches.
-struct UnitWeight {
-  UnitKey unit;
-  double benefit = 0.0;
-  double cost = 0.0;
-  double extra_cost = 0.0;
-  Sensitivity sensitivity = Sensitivity::Mixed;
-  double weight() const noexcept { return benefit - cost - extra_cost; }
-};
-
-/// Compute the Eq. (7) weight table for one group given the plan state
-/// (DRAM residents before the group). Exposed for testing.
-std::vector<UnitWeight> group_weights(
-    const PlanInputs& in, const PerfModel& model, task::GroupId g,
-    const std::vector<UnitKey>& residents_before, bool distinguish_rw);
 
 // ---- Multi-tenant serving plan (per-tenant capacity rows). ----
 //

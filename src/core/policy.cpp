@@ -27,18 +27,21 @@ bool PlanInputs::pinned(hms::ObjectId id) const {
 }
 
 std::vector<task::ScheduledCopy> cyclic_preamble(
-    const PlanInputs& in,
-    const std::vector<std::pair<hms::ObjectId, std::size_t>>& start,
+    const PlanInputs& in, const Residency& start,
     const std::vector<task::ScheduledCopy>& body) {
-  using Unit = std::pair<hms::ObjectId, std::size_t>;
+  TAHOE_REQUIRE(in.machine != nullptr, "cyclic_preamble needs the machine");
+  using Unit = Residency::key_type;
+  const memsim::TierId cap_tier = in.machine->capacity_tier();
+  Residency current;
   std::set<Unit> possible;
   for (const auto& [unit, dev] : in.current.entries()) {
-    if (dev == memsim::kDram) possible.insert(unit);
+    if (dev == cap_tier) continue;
+    current[unit] = dev;
+    possible.insert(unit);
   }
   for (const task::ScheduledCopy& c : body) {
-    if (c.dst == memsim::kDram) possible.insert(Unit{c.object, c.chunk});
+    if (c.dst != cap_tier) possible.insert(Unit{c.object, c.chunk});
   }
-  std::set<Unit> start_set(start.begin(), start.end());
 
   // Fills trigger at iteration start but are only *needed* when the unit
   // is first referenced — that window is what lets the helper thread hide
@@ -48,18 +51,27 @@ std::vector<task::ScheduledCopy> cyclic_preamble(
     const auto refs = in.graph->groups_referencing(u.first, u.second);
     return refs.empty() ? 0 : refs.front();
   };
+  const auto demote = [&in, cap_tier](const Unit& u) {
+    return task::ScheduledCopy{u.first, u.second,
+                               in.unit_bytes(u.first, u.second), cap_tier, 0,
+                               0};
+  };
   std::vector<task::ScheduledCopy> preamble;
   for (const Unit& u : possible) {
-    if (!start_set.contains(u)) {
-      preamble.push_back(task::ScheduledCopy{
-          u.first, u.second, in.unit_bytes(u.first, u.second), memsim::kNvm,
-          0, 0});
-    }
+    if (!start.contains(u)) preamble.push_back(demote(u));
   }
-  for (const Unit& u : start_set) {
+  for (const auto& [u, t] : start) {
+    // A start unit sitting on the wrong constrained tier must vacate it
+    // before any same-trigger fill can count on that space: demote it
+    // with the evictions (same-trigger copies run in schedule order), then
+    // fill it onto its tier like everything else.
+    const auto cur = current.find(u);
+    if (cur != current.end() && cur->second != t) preamble.push_back(demote(u));
+  }
+  for (const auto& [u, t] : start) {
     preamble.push_back(task::ScheduledCopy{
-        u.first, u.second, in.unit_bytes(u.first, u.second), memsim::kDram,
-        0, first_reference(u)});
+        u.first, u.second, in.unit_bytes(u.first, u.second), t, 0,
+        first_reference(u)});
   }
   return preamble;
 }

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -74,16 +75,21 @@ class Policy {
   virtual PlanDecision decide(const PlanInputs& in) = 0;
 };
 
-/// Build the schedule preamble that forces DRAM residency to exactly
-/// `start` at each iteration boundary: evictions (trigger/needed group 0)
-/// for every unit that could be resident but is not in `start` — i.e. the
-/// decision-time residents plus every fill target of `body` — followed by
-/// fills for `start`. All entries become free no-ops once the system
-/// reaches its steady state, but they make cyclic schedules capacity-safe
-/// regardless of the residency the previous iteration left behind.
+/// Residency of the units off the capacity tier: (object, chunk) -> tier.
+using Residency =
+    std::map<std::pair<hms::ObjectId, std::size_t>, memsim::TierId>;
+
+/// Build the schedule preamble that forces the off-capacity-tier residency
+/// to exactly `start` at each iteration boundary: evictions to the capacity
+/// tier (trigger/needed group 0) for every unit that could sit on a faster
+/// tier but is not in `start` — i.e. the decision-time residents plus every
+/// fill target of `body` — then demotions of start units sitting on the
+/// wrong tier, followed by fills for `start`. All entries become free
+/// no-ops once the system reaches its steady state, but they make cyclic
+/// schedules capacity-safe regardless of the residency the previous
+/// iteration left behind.
 std::vector<task::ScheduledCopy> cyclic_preamble(
-    const PlanInputs& in,
-    const std::vector<std::pair<hms::ObjectId, std::size_t>>& start,
+    const PlanInputs& in, const Residency& start,
     const std::vector<task::ScheduledCopy>& body);
 
 }  // namespace tahoe::core

@@ -210,7 +210,9 @@ void RunReport::write_explain_json(std::ostream& os) const {
       w.kv("chunk", static_cast<std::uint64_t>(c.chunk));
       w.kv("pass", c.pass);
       w.kv("group", static_cast<std::uint64_t>(c.group));
-      if (c.tier >= 0) w.kv("tier", static_cast<std::uint64_t>(c.tier));
+      if (v3 && c.tier >= 0) {
+        w.kv("tier", static_cast<std::uint64_t>(c.tier));
+      }
       w.kv("sensitivity", c.sensitivity);
       w.kv("benefit", c.benefit);
       w.kv("cost", c.cost);

@@ -21,9 +21,10 @@ struct PlanCandidate {
   std::size_t chunk = 0;
   std::string pass;          ///< "local" / "global" / "pinned"
   std::size_t group = 0;     ///< phase index (local pass only)
-  /// Candidate destination tier on N-tier machines; -1 on two-tier
-  /// machines (where "promote to DRAM" is the only choice). Serialized
-  /// only when >= 0, keeping two-tier explain exports byte-stable.
+  /// Candidate destination tier (a constrained tier, fastest first); -1
+  /// for candidates without one (degradation pins). Serialized only in the
+  /// multi-tier (v3) layout: on a two-tier machine "promote to DRAM" is the
+  /// only choice, and two-tier explain exports stay byte-stable.
   int tier = -1;
   std::string sensitivity;   ///< "bandwidth" / "latency" / "mixed" / ""
   double benefit = 0.0;      ///< BFT (modeled seconds saved)

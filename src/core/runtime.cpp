@@ -573,45 +573,11 @@ RunReport Runtime::run_static(Application& app, memsim::DeviceId tier) {
       state.placement.set(o.id, c, tier);
     }
   }
-
-  RunReport report;
-  report.workload = app.name();
+  std::string policy = "tier" + std::to_string(tier) + "-only";
   if (machine.num_tiers() == 2) {
-    report.policy = tier == memsim::kDram ? "dram-only" : "nvm-only";
-  } else {
-    report.policy = "tier" + std::to_string(tier) + "-only";
+    policy = tier == memsim::kDram ? "dram-only" : "nvm-only";
   }
-  report.tier_names.reserve(machine.devices.size());
-  for (const memsim::DeviceModel& d : machine.devices) {
-    report.tier_names.push_back(d.name);
-  }
-
-  task::SimExecutor executor;
-  task::SimExecutor::Options opts;
-  opts.check_capacity = false;  // single-tier run; nothing moves
-  trace::Tracer& tracer = trace::global();
-  const std::uint64_t dropped_before = tracer.dropped();
-  trace::telemetry().begin_run("run:" + app.name() + "/" + report.policy);
-  double vclock = 0.0;
-  if (tracer.enabled()) {
-    name_standard_tracks(opts.workers != 0 ? opts.workers : machine.workers);
-    opts.tracer = &tracer;
-  }
-  for (std::size_t iter = 0; iter < app.iterations(); ++iter) {
-    task::GraphBuilder builder;
-    app.build_iteration(builder, iter);
-    const task::TaskGraph graph = builder.build();
-    opts.trace_time_offset = vclock;
-    const task::SimReport sim =
-        executor.run(graph, machine, state.placement, {}, opts);
-    vclock += sim.makespan;
-    report.iteration_seconds.push_back(sim.makespan);
-    report.compute_seconds += sim.makespan;
-    report.tasks_executed += graph.num_tasks();
-  }
-  report.trace_dropped_events = tracer.dropped() - dropped_before;
-  trace::sync_dropped_events_counter();
-  return report;
+  return run_fixed(app, state, machine, policy);
 }
 
 RunReport Runtime::run_pinned(Application& app,
@@ -631,10 +597,15 @@ RunReport Runtime::run_pinned(Application& app,
   memsim::Machine machine = config_.machine;
   machine.devices[fast].capacity =
       std::max(machine.tier(fast).capacity, pinned_bytes);
+  return run_fixed(app, state, machine, "pinned");
+}
 
+RunReport Runtime::run_fixed(Application& app, AppState& state,
+                             const memsim::Machine& machine,
+                             const std::string& policy) {
   RunReport report;
   report.workload = app.name();
-  report.policy = "pinned";
+  report.policy = policy;
   report.tier_names.reserve(machine.devices.size());
   for (const memsim::DeviceModel& d : machine.devices) {
     report.tier_names.push_back(d.name);
@@ -645,7 +616,7 @@ RunReport Runtime::run_pinned(Application& app,
   opts.check_capacity = false;  // fixed placement, nothing moves
   trace::Tracer& tracer = trace::global();
   const std::uint64_t dropped_before = tracer.dropped();
-  trace::telemetry().begin_run("run:" + app.name() + "/pinned");
+  trace::telemetry().begin_run("run:" + app.name() + "/" + policy);
   double vclock = 0.0;
   if (tracer.enabled()) {
     name_standard_tracks(opts.workers != 0 ? opts.workers : machine.workers);

@@ -114,6 +114,13 @@ class Runtime {
   /// Allocate the app's objects and build the object inventory.
   AppState prepare(Application& app, bool huge_tiers);
 
+  /// The fixed-placement loop behind run_static() and run_pinned():
+  /// simulate every iteration on `machine` with `state.placement` and no
+  /// migration, reporting under `policy`.
+  RunReport run_fixed(Application& app, AppState& state,
+                      const memsim::Machine& machine,
+                      const std::string& policy);
+
   /// Run the policy, then validate that every planned DRAM fill can
   /// actually reserve its space (an armed FaultInjector may veto
   /// reservations). An object whose reservation keeps failing is pinned to

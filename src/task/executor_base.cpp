@@ -158,9 +158,13 @@ void ExecutorBase::execute_task(TaskId id, unsigned self) {
       push_ready(succ, self);
     }
   }
-  barrier_remaining_.fetch_sub(1, std::memory_order_acq_rel);
-  if (remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1 ||
-      barrier_remaining_.load(std::memory_order_acquire) == 0) {
+  // remaining_ strictly before the barrier count, and run() waits on the
+  // barrier alone (both modes): once it drains, every finished task's
+  // remaining_ decrement has landed, so the caller never sees a drained
+  // barrier with tasks outstanding, and no decrement of this run can land
+  // after the next run's counter stores.
+  remaining_.fetch_sub(1, std::memory_order_acq_rel);
+  if (barrier_remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
     {
       // Empty critical section pairs with run()'s predicate check under
       // done_mutex_ so the notify cannot be lost.
@@ -241,7 +245,7 @@ void ExecutorBase::run(const TaskGraph& graph,
     for (TaskId id = 0; id < n; ++id) activate(id);
     std::unique_lock<std::mutex> lock(done_mutex_);
     done_cv_.wait(lock, [this] {
-      return remaining_.load(std::memory_order_acquire) == 0;
+      return barrier_remaining_.load(std::memory_order_acquire) == 0;
     });
   }
 

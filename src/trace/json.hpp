@@ -84,7 +84,8 @@ struct JsonValue {
 };
 
 /// Parse a complete JSON document. Throws std::runtime_error (with byte
-/// offset) on malformed input or trailing garbage.
+/// offset) on malformed input, trailing garbage, or arrays/objects nested
+/// more than 256 levels deep.
 JsonValue parse_json(const std::string& text);
 
 }  // namespace tahoe::trace

@@ -191,6 +191,45 @@ TEST_P(ExecutorBackendTest, PhaseModeExceptionReleasesBarrierAndRethrows) {
             static_cast<std::uint64_t>(kGroups * kPerGroup));
 }
 
+// Back-to-back runs of small multi-group graphs, mostly in phase mode: a
+// group barrier may only drain once every task of the group is fully
+// retired, so run() never finishes with tasks outstanding and no
+// completion of one run leaks into the next run's counters.
+TEST_P(ExecutorBackendTest, PhaseModeStressSmallGroups) {
+  const auto ex = make(4);
+  Rng rng(42);
+  std::uint64_t total = 0;
+  for (int round = 0; round < 3000; ++round) {
+    GraphBuilder gb;
+    std::atomic<int> ran{0};
+    const std::size_t groups = 2 + rng.next_below(4);
+    int tasks = 0;
+    for (std::size_t gi = 0; gi < groups; ++gi) {
+      gb.begin_group("g" + std::to_string(gi));
+      const std::size_t per_group = 1 + rng.next_below(3);
+      for (std::size_t i = 0; i < per_group; ++i) {
+        Task t;
+        t.accesses = {acc(static_cast<hms::ObjectId>(tasks++),
+                          AccessMode::Write)};
+        t.work = [&ran]() { ran.fetch_add(1, std::memory_order_relaxed); };
+        gb.add_task(std::move(t));
+      }
+    }
+    const TaskGraph g = gb.build();
+    std::size_t started = 0;
+    if (round % 4 == 3) {
+      ASSERT_NO_THROW(ex->run(g)) << "round " << round;
+    } else {
+      ASSERT_NO_THROW(ex->run(g, [&started](GroupId) { ++started; }))
+          << "round " << round;
+      ASSERT_EQ(started, groups) << "round " << round;
+    }
+    ASSERT_EQ(ran.load(), tasks) << "round " << round;
+    total += static_cast<std::uint64_t>(tasks);
+  }
+  EXPECT_EQ(ex->stats().tasks_run, total);
+}
+
 TEST_P(ExecutorBackendTest, ReusableAcrossRuns) {
   const auto ex = make(3);
   for (int round = 0; round < 5; ++round) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <iostream>
+
 #include "common/assert.hpp"
 #include "common/flags.hpp"
 
@@ -18,6 +20,45 @@ Flags make_flags() {
 std::vector<std::string> parse(Flags& f, std::vector<const char*> argv) {
   argv.insert(argv.begin(), "prog");
   return f.parse(static_cast<int>(argv.size()), argv.data());
+}
+
+void parse_or_exit(Flags& f, std::vector<const char*> argv) {
+  argv.insert(argv.begin(), "prog");
+  f.parse_or_exit(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(FlagsDeathTest, HelpPrintsUsageAndExitsZero) {
+  EXPECT_EXIT(
+      {
+        // Usage goes to stdout; route it where the matcher looks.
+        std::cout.rdbuf(std::cerr.rdbuf());
+        Flags f = make_flags();
+        parse_or_exit(f, {"--count=2", "--help"});
+      },
+      ::testing::ExitedWithCode(0), "usage: prog .*--count \\(int");
+}
+
+TEST(FlagsDeathTest, ParseErrorsPrintMessageAndUsageAndExitTwo) {
+  EXPECT_EXIT(
+      {
+        Flags f = make_flags();
+        parse_or_exit(f, {"--bogus"});
+      },
+      ::testing::ExitedWithCode(2), "unknown flag --bogus.*usage: prog");
+  EXPECT_EXIT(
+      {
+        Flags f = make_flags();
+        parse_or_exit(f, {"--count=many"});
+      },
+      ::testing::ExitedWithCode(2),
+      "--count expects an integer, got 'many'.*usage: prog");
+}
+
+TEST(Flags, ParseOrExitReturnsPositionals) {
+  Flags f = make_flags();
+  const char* argv[] = {"prog", "in.json", "--count", "7"};
+  EXPECT_EQ(f.parse_or_exit(4, argv), std::vector<std::string>{"in.json"});
+  EXPECT_EQ(f.get_int("count"), 7);
 }
 
 TEST(Flags, DefaultsWhenUnset) {

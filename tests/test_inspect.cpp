@@ -3,7 +3,11 @@
 // checks the derived critical path, overlap accounting, worker lanes, the
 // ring-overflow drop count round-trip, and the explain/report echoes.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <string>
 
@@ -270,6 +274,29 @@ TEST(Analyze, JsonRenderingIsDeterministic) {
   EXPECT_NE(o1.str().find("\"critical_path_seconds\":"), std::string::npos);
   EXPECT_NE(o1.str().find("\"overlap_efficiency\":"), std::string::npos);
   EXPECT_EQ(o1.str().back(), '\n');
+}
+
+// A hostile trace nested far past the JSON parser's depth limit must be
+// rejected with a message and a nonzero exit, not crash the analyzer.
+TEST(InspectBinary, DeeplyNestedTraceExitsWithMessage) {
+  const std::string trace = ::testing::TempDir() + "deep_trace.json";
+  const std::string err = ::testing::TempDir() + "deep_trace.err";
+  {
+    std::ofstream os(trace);
+    os << std::string(200000, '[');
+  }
+  const std::string cmd = std::string(TAHOE_INSPECT_BIN) + " --trace=" +
+                          trace + " > /dev/null 2> " + err;
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << "tahoe_inspect died: " << status;
+  EXPECT_NE(WEXITSTATUS(status), 0);
+  std::ifstream is(err);
+  std::stringstream msg;
+  msg << is.rdbuf();
+  EXPECT_NE(msg.str().find("nesting deeper than"), std::string::npos)
+      << msg.str();
+  std::remove(trace.c_str());
+  std::remove(err.c_str());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/rng.hpp"
 #include "core/knapsack.hpp"
 
@@ -132,23 +134,34 @@ void check_consistent(std::span<const MultiTierItem> items,
 }  // namespace
 
 TEST(MultiKnapsack, OneTierDegeneratesToZeroOne) {
-  // With one constrained tier the MCKP must find the same optimum as the
-  // 0/1 solver (assignments may differ under ties; totals may not).
+  // With one constrained tier the MCKP is the 0/1 knapsack: the planner
+  // relies on it choosing exactly the 0/1 solver's items, ties included
+  // (half the trials use integer values, so ties are common). The
+  // multi-dimensional DP must agree too when the extra tier has no room.
   Rng rng(11);
   for (int trial = 0; trial < 40; ++trial) {
     std::vector<KnapsackItem> flat;
     std::vector<MultiTierItem> items;
+    std::vector<MultiTierItem> items_2d;
     const std::size_t n = 3 + rng.next_below(9);
     for (std::size_t i = 0; i < n; ++i) {
       const std::uint64_t size = rng.next_below(180) + 1;
-      const double value = (rng.next_double() - 0.2) * 20.0;
+      double value = (rng.next_double() - 0.2) * 20.0;
+      if (trial % 2 == 1) value = std::round(value);
       flat.push_back(KnapsackItem{size, value});
       items.push_back(MultiTierItem{size, {value}});
+      items_2d.push_back(MultiTierItem{size, {value, value}});
     }
     const std::uint64_t cap = rng.next_below(350) + 50;
     const std::uint64_t caps[]{cap};
+    const std::uint64_t caps_2d[]{cap, 0};
     const MultiTierResult multi = solve_multi(items, caps);
+    const MultiTierResult multi_2d = solve_multi(items_2d, caps_2d);
     const KnapsackResult flat_dp = solve(flat, cap, 4096);
+    std::vector<int> expected(n, -1);
+    for (const std::size_t i : flat_dp.chosen) expected[i] = 0;
+    EXPECT_EQ(multi.assignment, expected) << "trial " << trial;
+    EXPECT_EQ(multi_2d.assignment, expected) << "trial " << trial;
     EXPECT_NEAR(multi.total_value, flat_dp.total_value, 1e-9)
         << "trial " << trial;
     check_consistent(items, caps, multi);

@@ -85,39 +85,51 @@ ModelConstants constants(const memsim::Machine& m) {
   return calibrate(m).to_constants();
 }
 
+/// The phase-local provenance row of `object` in group `g`: the Eq. (7)
+/// terms the planner weighed for it there.
+const PlanCandidate& local_candidate(const PlanDecision& d,
+                                     hms::ObjectId object, task::GroupId g) {
+  for (const PlanCandidate& c : d.provenance) {
+    if (c.pass == "local" && c.object_id == object && c.group == g) return c;
+  }
+  ADD_FAILURE() << "no local candidate for object " << object << " in g" << g;
+  return d.provenance.front();
+}
+
 TEST(GroupWeights, HotUnitHasLargeBenefit) {
   const task::TaskGraph g = graph();
   const memsim::Machine m = machine();
   const PhaseProfiles p = profiles();
-  const PlanInputs in = inputs(g, m, p);
-  const PerfModel model(constants(m), m.tier(memsim::kDram), m.tier(memsim::kNvm), m.copy_engine_bw,
-                        m.sample_interval);
-  const auto weights = group_weights(in, model, 0, {}, true);
-  ASSERT_EQ(weights.size(), 2u);
-  const UnitWeight* hot = nullptr;
-  const UnitWeight* cold = nullptr;
-  for (const UnitWeight& w : weights) {
-    (w.unit.object == 1 ? hot : cold) = &w;
+  TahoePolicy policy(constants(m));
+  const PlanDecision d = policy.decide(inputs(g, m, p));
+  // Group 0 weighs both objects; object 1 is the one it streams.
+  std::size_t weighed = 0;
+  for (const PlanCandidate& c : d.provenance) {
+    weighed += c.pass == "local" && c.group == 0 ? 1 : 0;
   }
-  ASSERT_TRUE(hot != nullptr && cold != nullptr);
-  EXPECT_GT(hot->benefit, 10.0 * cold->benefit);
-  EXPECT_GT(hot->weight(), 0.0);
+  ASSERT_EQ(weighed, 2u);
+  const PlanCandidate& hot = local_candidate(d, 1, 0);
+  const PlanCandidate& cold = local_candidate(d, 2, 0);
+  EXPECT_GT(hot.benefit, 10.0 * cold.benefit);
+  EXPECT_GT(hot.value, 0.0);
+  EXPECT_DOUBLE_EQ(hot.value, hot.benefit - hot.cost - hot.extra_cost);
 }
 
 TEST(GroupWeights, ResidentUnitsHaveNoMovementCost) {
   const task::TaskGraph g = graph();
-  const memsim::Machine m = machine();
+  const memsim::Machine m = machine(256 * kMiB);  // holds both objects
   const PhaseProfiles p = profiles();
-  const PlanInputs in = inputs(g, m, p);
-  const PerfModel model(constants(m), m.tier(memsim::kDram), m.tier(memsim::kNvm), m.copy_engine_bw,
-                        m.sample_interval);
-  const auto weights =
-      group_weights(in, model, 0, {UnitKey{1, 0}}, true);
-  for (const UnitWeight& w : weights) {
-    if (w.unit.object == 1) {
-      EXPECT_DOUBLE_EQ(w.cost, 0.0);
-      EXPECT_DOUBLE_EQ(w.extra_cost, 0.0);
-    }
+  TahoeOptions opts;
+  opts.strategy = TahoeOptions::Strategy::LocalOnly;
+  TahoePolicy policy(constants(m), opts);
+  const PlanDecision d = policy.decide(inputs(g, m, p));
+  // Group 0 keeps object 1 resident for good, so weighing it again —
+  // there and in group 1 — charges neither a copy nor an eviction.
+  EXPECT_TRUE(local_candidate(d, 1, 0).accepted);
+  for (task::GroupId grp = 0; grp < 2; ++grp) {
+    const PlanCandidate& c = local_candidate(d, 1, grp);
+    EXPECT_DOUBLE_EQ(c.cost, 0.0);
+    EXPECT_DOUBLE_EQ(c.extra_cost, 0.0);
   }
 }
 
@@ -125,17 +137,18 @@ TEST(GroupWeights, EvictionAddsExtraCost) {
   const task::TaskGraph g = graph();
   const memsim::Machine m = machine();  // DRAM 128 MiB, objects 96 MiB
   const PhaseProfiles p = profiles();
-  const PlanInputs in = inputs(g, m, p);
-  const PerfModel model(constants(m), m.tier(memsim::kDram), m.tier(memsim::kNvm), m.copy_engine_bw,
-                        m.sample_interval);
-  // Object 2 resident: placing object 1 requires evicting it.
-  const auto weights =
-      group_weights(in, model, 0, {UnitKey{2, 0}}, true);
-  for (const UnitWeight& w : weights) {
-    if (w.unit.object == 1) {
-      EXPECT_GT(w.extra_cost, 0.0);
-    }
-  }
+  TahoeOptions opts;
+  opts.strategy = TahoeOptions::Strategy::LocalOnly;
+  TahoePolicy policy(constants(m), opts);
+  const PlanDecision d = policy.decide(inputs(g, m, p));
+  // The cycle starts with object 2 resident (group 1 left it there), so
+  // placing object 1 for group 0 costs object 2's copy back to NVM.
+  const PerfModel model(constants(m), m);
+  const PlanCandidate& c = local_candidate(d, 1, 0);
+  EXPECT_GT(c.extra_cost, 0.0);
+  EXPECT_DOUBLE_EQ(c.extra_cost, model.copy_seconds_pair(kObjBytes,
+                                                         memsim::kDram,
+                                                         memsim::kNvm));
 }
 
 TEST(TahoePolicy, LocalSearchPingPongsScarceDram) {
@@ -241,7 +254,7 @@ TEST(CyclicPreamble, ForcesStartResidency) {
   in.current.set(1, 0, memsim::kDram);  // leftover resident
   const std::vector<task::ScheduledCopy> body{
       task::ScheduledCopy{2, 0, kObjBytes, memsim::kDram, 1, 1}};
-  const auto pre = cyclic_preamble(in, {{2, 0}}, body);
+  const auto pre = cyclic_preamble(in, {{{2, 0}, memsim::kDram}}, body);
   // Object 1 (not in start set) must be evicted; object 2 filled.
   bool evicts_1 = false;
   bool fills_2 = false;

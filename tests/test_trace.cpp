@@ -191,6 +191,28 @@ TEST(Json, ParserRejectsGarbage) {
   EXPECT_THROW(parse_json("nope"), std::runtime_error);
 }
 
+TEST(Json, ParserBoundsNestingDepth) {
+  // 256 levels is the documented limit; one more is an error, and a
+  // hostile 200k-deep document fails the same way instead of overflowing
+  // the stack.
+  const auto nested = [](std::size_t depth) {
+    return std::string(depth, '[') + std::string(depth, ']');
+  };
+  EXPECT_EQ(parse_json(nested(256)).type, JsonValue::Type::Array);
+  EXPECT_THROW(parse_json(nested(257)), std::runtime_error);
+  try {
+    parse_json(std::string(200000, '['));
+    ADD_FAILURE() << "200k-deep document parsed";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256"),
+              std::string::npos)
+        << e.what();
+  }
+  std::string objects;
+  for (int i = 0; i < 300; ++i) objects += "{\"k\":";
+  EXPECT_THROW(parse_json(objects), std::runtime_error);
+}
+
 TEST(ChromeExport, EmitsValidTraceEventJson) {
   Tracer tracer(256);
   tracer.set_enabled(true);

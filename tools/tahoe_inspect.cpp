@@ -70,12 +70,7 @@ int main(int argc, char** argv) {
   flags.define_string("format", "table", "output format: table or json");
   flags.define_string("out", "", "write output to this file instead of stdout");
 
-  try {
-    flags.parse(argc, argv);
-  } catch (const std::exception& e) {
-    std::cerr << e.what() << '\n' << flags.usage(argv[0]);
-    return 2;
-  }
+  flags.parse_or_exit(argc, argv);
   const std::string trace_path = flags.get_string("trace");
   const std::string timeline_path = flags.get_string("timeline");
   const std::string format = flags.get_string("format");

@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
   flags.define_string("slo-rules", "",
                       "comma-separated SLO watchdog rules evaluated inside "
                       "every cell (see --telemetry docs)");
-  flags.parse(argc, argv);
+  flags.parse_or_exit(argc, argv);
 
   const std::string out = flags.get_string("out");
   SweepTelemetry tele;
