@@ -1,35 +1,32 @@
-// EXECUTOR: raw task-throughput of the real work-stealing executors,
-// head-to-head across backends (Chase–Lev shared deques vs the
-// channel/steal-half design) and across a worker sweep, in four regimes:
+// EXECUTOR: raw task throughput of the real work-stealing executor
+// (Chase–Lev deques, randomized steal-one) across a worker sweep, in four
+// regimes:
 //
 //   empty    independent no-op tasks: pure scheduling overhead
 //   kernel   independent tasks of a few hundred flops: the paper's
 //            fine-grained task-parallel regime
 //   fib      recursive Fibonacci dependence tree (post-order fan-in):
 //            spawn-heavy, deep, one hot path — the classic work-stealing
-//            stress test where steal-half pays off
+//            stress test
 //   nqueens  N-queens search tree (pre-order fan-out): spawn-heavy with
 //            irregular branching
 //
-// Each (mode, backend, workers) cell reports the best rep so that one
-// descheduled rep on a shared box does not poison the number. fib and
-// nqueens verify their results every rep — a scheduler bug that drops or
-// reorders work shows up as a wrong sum, not just a slow cell.
+// Each (mode, workers) cell reports the median and the p10/p90 of the
+// per-rep throughput, so a descheduled rep on a shared box shows up as
+// spread instead of moving the headline number. The defaults size one rep
+// at 1 worker to take at least ~100 ms. fib and nqueens verify their
+// results every rep — a scheduler bug that drops or reorders work shows
+// up as a wrong sum (exit 1), not just a slow cell.
 //
-//   bench/bench_executor_throughput [--backend both|chaselev|channel]
-//       [--modes empty,kernel,fib,nqueens] [--tasks N] [--fib-n N]
-//       [--queens-n N] [--reps R] [--quick] [--csv] [--report-json FILE]
-//       [--check] [--check-workers W] [--check-min-ratio F]
+//   bench/bench_executor_throughput [--modes empty,kernel,fib,nqueens]
+//       [--tasks N] [--fib-n N] [--queens-n N] [--reps R] [--quick]
+//       [--csv] [--report-json FILE]
 //
-// With --report-json every cell appends one RunReport JSON line
-// (workload "executor_throughput", policy = mode, strategy =
-// "<backend>:<N>w", iteration_seconds = per-rep wall times) plus the
-// executor counters from the global registry.
-//
-// --check turns the run into a head-to-head gate: on the fib cell at
-// --check-workers workers, the channel backend's best throughput must be
-// at least --check-min-ratio times the Chase–Lev backend's (exit 1
-// otherwise). Requires --backend both and a fib mode.
+// --reps, --tasks, --fib-n and --queens-n must be >= 1 (exit 2 otherwise).
+// With --report-json every cell appends one RunReport JSON line (workload
+// "executor_throughput", policy = mode, strategy = "<N>w",
+// iteration_seconds = per-rep wall times) plus the executor counters from
+// the global registry.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -41,8 +38,8 @@
 
 #include "bench_util.hpp"
 #include "common/flags.hpp"
+#include "common/stats.hpp"
 #include "common/table.hpp"
-#include "task/channel_executor.hpp"
 #include "task/executor.hpp"
 #include "trace/counters.hpp"
 
@@ -113,8 +110,8 @@ Workload make_flat(std::size_t tasks, bool kernel) {
 /// computes its value iteratively; an inner node sums its two children.
 /// Children are added before their parent (post-order) so the builder's
 /// program-order RAW edges (child writes its slot, parent reads both) give
-/// the fan-in tree. Each completed inner task releases its parent — the
-/// spawn-heavy, join-dominated shape adaptive steal-half is built for.
+/// the fan-in tree. Each completed inner task releases its parent — a
+/// spawn-heavy, join-dominated shape.
 Workload make_fib(int n, int cutoff) {
   auto results = std::make_shared<std::vector<std::uint64_t>>();
   task::GraphBuilder gb;
@@ -210,7 +207,7 @@ Workload make_queens(int n) {
   }
   static const std::map<int, std::uint64_t> kSolutions = {
       {4, 2},  {5, 10},  {6, 4},    {7, 40},
-      {8, 92}, {9, 352}, {10, 724}, {11, 2680}};
+      {8, 92}, {9, 352}, {10, 724}, {11, 2680}, {12, 14200}};
   const auto it = kSolutions.find(n);
   const std::uint64_t expected = it == kSolutions.end() ? 0 : it->second;
   Workload w;
@@ -225,7 +222,7 @@ Workload make_queens(int n) {
   return w;
 }
 
-double run_once(task::IExecutor& ex, const Workload& w) {
+double run_once(task::Executor& ex, const Workload& w) {
   if (w.reset) w.reset();
   const auto begin = std::chrono::steady_clock::now();
   ex.run(w.graph);
@@ -252,25 +249,24 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 int main(int argc, char** argv) {
   Flags flags;
-  flags.define_string("backend", "both",
-                      "executor backend: chaselev, channel, or both");
   flags.define_string("modes", "empty,kernel,fib,nqueens",
                       "comma-separated workload modes");
-  flags.define_int("tasks", 100000, "tasks per rep (empty/kernel modes)");
-  flags.define_int("fib-n", 24, "fib mode: Fibonacci index");
+  flags.define_int("tasks", 500000, "tasks per rep (empty/kernel modes)");
+  flags.define_int("fib-n", 28, "fib mode: Fibonacci index");
   flags.define_int("fib-cutoff", 2, "fib mode: leaf cutoff");
-  flags.define_int("queens-n", 10, "nqueens mode: board size");
-  flags.define_int("reps", 5, "repetitions per (mode, backend, workers) cell");
+  flags.define_int("queens-n", 12, "nqueens mode: board size");
+  flags.define_int("reps", 11, "repetitions per (mode, workers) cell");
   flags.define_bool("quick", false, "CI smoke: fewer tasks, reps, workers");
   flags.define_bool("csv", false, "emit CSV after the table");
-  flags.define_bool("check", false,
-                    "gate: channel must reach check-min-ratio x chaselev "
-                    "throughput on fib at check-workers workers");
-  flags.define_int("check-workers", 16, "worker count the gate compares at");
-  flags.define_string("check-min-ratio", "1.0",
-                      "minimum channel/chaselev throughput ratio");
   bench::register_artifact_flags(flags);
   flags.parse_or_exit(argc, argv);
+  for (const char* name : {"reps", "tasks", "fib-n", "queens-n"}) {
+    if (flags.get_int(name) < 1) {
+      std::cerr << argv[0] << ": --" << name << " must be >= 1\n"
+                << flags.usage(argv[0]);
+      return 2;
+    }
+  }
 
   // Arms the fault injector and turns on histograms (steal latency, park
   // time, task duration) + tracing with any artifact request; off
@@ -283,48 +279,13 @@ int main(int argc, char** argv) {
   const int fib_n = quick ? 20 : static_cast<int>(flags.get_int("fib-n"));
   const int queens_n = quick ? 8 : static_cast<int>(flags.get_int("queens-n"));
   const int reps = quick ? 2 : static_cast<int>(flags.get_int("reps"));
-  const bool check = flags.get_bool("check");
-  const auto check_workers =
-      static_cast<unsigned>(flags.get_int("check-workers"));
-  const double check_min_ratio = std::stod(flags.get_string("check-min-ratio"));
-
-  std::vector<task::ExecutorBackend> backends;
-  const std::string backend_flag = flags.get_string("backend");
-  if (backend_flag == "both") {
-    backends = {task::ExecutorBackend::kChaseLev,
-                task::ExecutorBackend::kChannel};
-  } else if (const auto b = task::parse_executor_backend(backend_flag)) {
-    backends = {*b};
-  } else {
-    std::cerr << "unknown backend: " << backend_flag << "\n";
-    return 2;
-  }
-  if (check && backends.size() != 2) {
-    std::cerr << "--check needs --backend both\n";
-    return 2;
-  }
 
   std::vector<unsigned> workers = {1, 2, 4, 8, 16, 32, 64};
   if (quick) workers = {1, 4, 16};
-  if (check &&
-      std::find(workers.begin(), workers.end(), check_workers) ==
-          workers.end()) {
-    workers.push_back(check_workers);
-    std::sort(workers.begin(), workers.end());
-  }
 
-  std::vector<std::pair<std::string, Workload>> modes;
-  for (const std::string& m : split_csv(flags.get_string("modes"))) {
-    if (m == "empty") {
-      modes.emplace_back(m, make_flat(tasks, /*kernel=*/false));
-    } else if (m == "kernel") {
-      modes.emplace_back(m, make_flat(tasks, /*kernel=*/true));
-    } else if (m == "fib") {
-      modes.emplace_back(
-          m, make_fib(fib_n, static_cast<int>(flags.get_int("fib-cutoff"))));
-    } else if (m == "nqueens") {
-      modes.emplace_back(m, make_queens(queens_n));
-    } else {
+  const std::vector<std::string> modes = split_csv(flags.get_string("modes"));
+  for (const std::string& m : modes) {
+    if (m != "empty" && m != "kernel" && m != "fib" && m != "nqueens") {
       std::cerr << "unknown mode: " << m << "\n";
       return 2;
     }
@@ -333,90 +294,62 @@ int main(int argc, char** argv) {
     std::cerr << "empty mode list\n";
     return 2;
   }
-
-  // best Mtasks/s per (mode, backend, workers) for the gate.
-  std::map<std::string, double> best_rate;
-  const auto cell_key = [](const std::string& mode,
-                           task::ExecutorBackend backend, unsigned w) {
-    return mode + "/" + task::to_string(backend) + "/" + std::to_string(w);
+  // One mode's graph is alive at a time: at the default sizes a graph
+  // holds a few hundred MB.
+  const auto make_workload = [&](const std::string& m) {
+    if (m == "empty") return make_flat(tasks, /*kernel=*/false);
+    if (m == "kernel") return make_flat(tasks, /*kernel=*/true);
+    if (m == "fib") {
+      return make_fib(fib_n, static_cast<int>(flags.get_int("fib-cutoff")));
+    }
+    return make_queens(queens_n);
   };
 
   bool verified = true;
-  Table table({"mode", "backend", "workers", "tasks", "best Mtasks/s",
-               "mean Mtasks/s", "steals", "steal_reqs", "parks"});
-  for (const auto& [mode, workload] : modes) {
-    for (const task::ExecutorBackend backend : backends) {
-      for (const unsigned w : workers) {
-        trace::CounterRegistry& reg = trace::global_counters();
-        const std::uint64_t steals0 = reg.get("executor.steals").value();
-        const std::uint64_t reqs0 = reg.get("executor.steal_requests").value();
-        const std::uint64_t parks0 = reg.get("executor.parks").value();
-        core::RunReport report;
-        report.workload = "executor_throughput";
-        report.policy = mode;
-        report.strategy =
-            std::string(task::to_string(backend)) + ":" + std::to_string(w) +
-            "w";
-        double best = 0.0;
-        double sum = 0.0;
-        {
-          const std::unique_ptr<task::IExecutor> ex =
-              task::make_executor(backend, w);
-          for (int r = 0; r < reps; ++r) {
-            const double secs = run_once(*ex, workload);
-            if (workload.verify && !workload.verify()) {
-              std::cerr << "VERIFY FAILED: " << mode << " on "
-                        << task::to_string(backend) << " with " << w
-                        << " workers\n";
-              verified = false;
-            }
-            report.iteration_seconds.push_back(secs);
-            const double rate = static_cast<double>(workload.tasks) / secs;
-            best = std::max(best, rate);
-            sum += rate;
+  Table table({"mode", "workers", "tasks", "median Mtasks/s", "p10",
+               "p90", "steals", "parks"});
+  for (const std::string& mode : modes) {
+    const Workload workload = make_workload(mode);
+    for (const unsigned w : workers) {
+      trace::CounterRegistry& reg = trace::global_counters();
+      const std::uint64_t steals0 = reg.get("executor.steals").value();
+      const std::uint64_t parks0 = reg.get("executor.parks").value();
+      core::RunReport report;
+      report.workload = "executor_throughput";
+      report.policy = mode;
+      report.strategy = std::to_string(w) + "w";
+      std::vector<double> rates;
+      {
+        // Heap-allocated like run_real's pool (see runtime.cpp).
+        const auto ex = std::make_unique<task::Executor>(w);
+        for (int r = 0; r < reps; ++r) {
+          const double secs = run_once(*ex, workload);
+          if (workload.verify && !workload.verify()) {
+            std::cerr << "VERIFY FAILED: " << mode << " with " << w
+                      << " workers\n";
+            verified = false;
           }
-          report.tasks_executed = ex->stats().tasks_run;
+          report.iteration_seconds.push_back(secs);
+          rates.push_back(static_cast<double>(workload.tasks) / secs / 1e6);
         }
-        best_rate[cell_key(mode, backend, w)] = best;
-        report.compute_seconds = 0.0;
-        for (const double s : report.iteration_seconds) {
-          report.compute_seconds += s;
-        }
-        table.add_row(
-            {mode, task::to_string(backend), std::to_string(w),
-             std::to_string(workload.tasks), Table::num(best / 1e6),
-             Table::num(sum / reps / 1e6),
-             std::to_string(reg.get("executor.steals").value() - steals0),
-             std::to_string(reg.get("executor.steal_requests").value() -
-                            reqs0),
-             std::to_string(reg.get("executor.parks").value() - parks0)});
-        bench::append_report_json(report, artifacts.report_json);
+        report.tasks_executed = ex->stats().tasks_run;
       }
+      report.compute_seconds = 0.0;
+      for (const double s : report.iteration_seconds) {
+        report.compute_seconds += s;
+      }
+      table.add_row(
+          {mode, std::to_string(w), std::to_string(workload.tasks),
+           Table::num(percentile(rates, 0.5)),
+           Table::num(percentile(rates, 0.1)),
+           Table::num(percentile(rates, 0.9)),
+           std::to_string(reg.get("executor.steals").value() - steals0),
+           std::to_string(reg.get("executor.parks").value() - parks0)});
+      bench::append_report_json(report, artifacts.report_json);
     }
   }
-  bench::emit("executor task throughput, " + backend_flag +
-                  " backend(s) (best of " + std::to_string(reps) + " reps)",
+  bench::emit("executor task throughput (median, p10/p90 of " +
+                  std::to_string(reps) + " reps)",
               table, flags.get_bool("csv"));
-  if (!verified) return 1;
-
-  if (check) {
-    const double chaselev =
-        best_rate[cell_key("fib", task::ExecutorBackend::kChaseLev,
-                           check_workers)];
-    const double channel = best_rate[cell_key(
-        "fib", task::ExecutorBackend::kChannel, check_workers)];
-    if (chaselev <= 0.0 || channel <= 0.0) {
-      std::cerr << "--check needs the fib mode in --modes\n";
-      return 2;
-    }
-    const double ratio = channel / chaselev;
-    std::cout << "check: fib @" << check_workers << "w channel/chaselev = "
-              << ratio << " (min " << check_min_ratio << ")\n";
-    if (ratio < check_min_ratio) {
-      std::cerr << "CHECK FAILED: channel backend below " << check_min_ratio
-                << "x chaselev on fib\n";
-      return 1;
-    }
-  }
-  return 0;
+  return verified ? 0 : 1;
 }

@@ -61,8 +61,20 @@ RegistryWalk walk_registry(const Segment& segment) {
     aw.used = ar->used;
     aw.live_blocks = ar->live_count;
     aw.free_ranges = ar->free_count;
+    // The range list is untrusted bytes: a zero-size range, ranges summing
+    // past the capacity, or more nodes than live + free blocks mean a
+    // corrupt (possibly cyclic) list, so the walk stops instead of looping.
+    std::uint64_t nodes = 0;
+    std::uint64_t covered = 0;
     for (std::uint64_t off = ar->range_head; off != 0;) {
       const auto* node = segment.at_as<const RangeNode>(off);
+      TAHOE_REQUIRE(node->size != 0,
+                    "arena range list is malformed (zero-size range)");
+      TAHOE_REQUIRE(node->size <= ar->capacity - covered,
+                    "arena range list is malformed (ranges exceed capacity)");
+      covered += node->size;
+      TAHOE_REQUIRE(++nodes <= ar->live_count + ar->free_count,
+                    "arena range list is malformed (more ranges than blocks)");
       if (node->live == 0) {
         aw.largest_free_range = std::max(aw.largest_free_range, node->size);
       }

@@ -1,8 +1,6 @@
-// Real thread-pool executors: correctness under dependences and the
-// phase-boundary hook. Everything here runs against both scheduling
-// backends (Chase–Lev shared deques and the channel/steal-half design)
-// through the IExecutor factory — the backends must be observably
-// interchangeable.
+// Real thread-pool executor: correctness under dependences and the
+// phase-boundary hook, tier-hint ordering, injection scatter and the
+// scheduler stats.
 #include "common/assert.hpp"
 
 #include <gtest/gtest.h>
@@ -14,7 +12,7 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "task/channel_executor.hpp"
+#include "core/runtime.hpp"
 #include "task/executor.hpp"
 
 namespace tahoe::task {
@@ -29,14 +27,7 @@ DataAccess acc(hms::ObjectId obj, AccessMode mode) {
   return a;
 }
 
-class ExecutorBackendTest : public ::testing::TestWithParam<ExecutorBackend> {
- protected:
-  std::unique_ptr<IExecutor> make(unsigned workers) const {
-    return make_executor(GetParam(), workers);
-  }
-};
-
-TEST_P(ExecutorBackendTest, RunsEveryTaskOnce) {
+TEST(Executor, RunsEveryTaskOnce) {
   GraphBuilder gb;
   gb.begin_group("g");
   std::atomic<int> count{0};
@@ -47,13 +38,13 @@ TEST_P(ExecutorBackendTest, RunsEveryTaskOnce) {
     gb.add_task(std::move(t));
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(4);
-  ex->run(g);
+  Executor ex(4);
+  ex.run(g);
   EXPECT_EQ(count.load(), 100);
-  EXPECT_EQ(ex->stats().tasks_run, 100u);
+  EXPECT_EQ(ex.stats().tasks_run, 100u);
 }
 
-TEST_P(ExecutorBackendTest, DependencesOrderEffects) {
+TEST(Executor, DependencesOrderEffects) {
   // Chain: each task appends its id; RAW deps force program order.
   GraphBuilder gb;
   gb.begin_group("g");
@@ -69,13 +60,13 @@ TEST_P(ExecutorBackendTest, DependencesOrderEffects) {
     gb.add_task(std::move(t));
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(4);
-  ex->run(g);
+  Executor ex(4);
+  ex.run(g);
   ASSERT_EQ(order.size(), 32u);
   for (int i = 0; i < 32; ++i) EXPECT_EQ(order[i], i);
 }
 
-TEST_P(ExecutorBackendTest, ForkJoinComputesCorrectSum) {
+TEST(Executor, ForkJoinComputesCorrectSum) {
   // One producer writes, N parallel readers accumulate, one reducer reads.
   GraphBuilder gb;
   gb.begin_group("g");
@@ -104,12 +95,12 @@ TEST_P(ExecutorBackendTest, ForkJoinComputesCorrectSum) {
     gb.add_task(std::move(t));
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(8);
-  ex->run(g);
+  Executor ex(8);
+  ex.run(g);
   EXPECT_EQ(result, 64L * 21L);
 }
 
-TEST_P(ExecutorBackendTest, PhaseHookRunsBeforeEachGroup) {
+TEST(Executor, PhaseHookRunsBeforeEachGroup) {
   GraphBuilder gb;
   std::atomic<int> phase_marker{-1};
   std::vector<int> seen_by_group(3, -2);
@@ -125,9 +116,9 @@ TEST_P(ExecutorBackendTest, PhaseHookRunsBeforeEachGroup) {
     }
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(4);
+  Executor ex(4);
   std::vector<GroupId> hook_order;
-  ex->run(g, [&](GroupId gi) {
+  ex.run(g, [&](GroupId gi) {
     hook_order.push_back(gi);
     phase_marker.store(static_cast<int>(gi), std::memory_order_release);
   });
@@ -137,7 +128,7 @@ TEST_P(ExecutorBackendTest, PhaseHookRunsBeforeEachGroup) {
   for (int gi = 0; gi < 3; ++gi) EXPECT_EQ(seen_by_group[gi], gi);
 }
 
-TEST_P(ExecutorBackendTest, ExceptionsPropagate) {
+TEST(Executor, ExceptionsPropagate) {
   GraphBuilder gb;
   gb.begin_group("g");
   Task t;
@@ -145,14 +136,14 @@ TEST_P(ExecutorBackendTest, ExceptionsPropagate) {
   t.work = []() { throw std::runtime_error("kernel failed"); };
   gb.add_task(std::move(t));
   const TaskGraph g = gb.build();
-  const auto ex = make(2);
-  EXPECT_THROW(ex->run(g), std::runtime_error);
+  Executor ex(2);
+  EXPECT_THROW(ex.run(g), std::runtime_error);
 }
 
 // A task throwing mid-group in phase mode must not wedge the group
 // barrier: the remaining tasks of its group and every later group still
 // run, and run() rethrows the error once the whole graph drained.
-TEST_P(ExecutorBackendTest, PhaseModeExceptionReleasesBarrierAndRethrows) {
+TEST(Executor, PhaseModeExceptionReleasesBarrierAndRethrows) {
   GraphBuilder gb;
   std::atomic<int> completed{0};
   std::atomic<int> last_group_tasks{0};
@@ -178,16 +169,16 @@ TEST_P(ExecutorBackendTest, PhaseModeExceptionReleasesBarrierAndRethrows) {
     }
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(4);
+  Executor ex(4);
   std::vector<GroupId> hook_order;
   EXPECT_THROW(
-      ex->run(g, [&](GroupId gi) { hook_order.push_back(gi); }),
+      ex.run(g, [&](GroupId gi) { hook_order.push_back(gi); }),
       std::runtime_error);
   // All groups were started and every non-throwing task ran to completion.
   EXPECT_EQ(hook_order, (std::vector<GroupId>{0, 1, 2}));
   EXPECT_EQ(completed.load(), kGroups * kPerGroup - 1);
   EXPECT_EQ(last_group_tasks.load(), kPerGroup);
-  EXPECT_EQ(ex->stats().tasks_run,
+  EXPECT_EQ(ex.stats().tasks_run,
             static_cast<std::uint64_t>(kGroups * kPerGroup));
 }
 
@@ -195,8 +186,8 @@ TEST_P(ExecutorBackendTest, PhaseModeExceptionReleasesBarrierAndRethrows) {
 // group barrier may only drain once every task of the group is fully
 // retired, so run() never finishes with tasks outstanding and no
 // completion of one run leaks into the next run's counters.
-TEST_P(ExecutorBackendTest, PhaseModeStressSmallGroups) {
-  const auto ex = make(4);
+TEST(Executor, PhaseModeStressSmallGroups) {
+  Executor ex(4);
   Rng rng(42);
   std::uint64_t total = 0;
   for (int round = 0; round < 3000; ++round) {
@@ -218,20 +209,20 @@ TEST_P(ExecutorBackendTest, PhaseModeStressSmallGroups) {
     const TaskGraph g = gb.build();
     std::size_t started = 0;
     if (round % 4 == 3) {
-      ASSERT_NO_THROW(ex->run(g)) << "round " << round;
+      ASSERT_NO_THROW(ex.run(g)) << "round " << round;
     } else {
-      ASSERT_NO_THROW(ex->run(g, [&started](GroupId) { ++started; }))
+      ASSERT_NO_THROW(ex.run(g, [&started](GroupId) { ++started; }))
           << "round " << round;
       ASSERT_EQ(started, groups) << "round " << round;
     }
     ASSERT_EQ(ran.load(), tasks) << "round " << round;
     total += static_cast<std::uint64_t>(tasks);
   }
-  EXPECT_EQ(ex->stats().tasks_run, total);
+  EXPECT_EQ(ex.stats().tasks_run, total);
 }
 
-TEST_P(ExecutorBackendTest, ReusableAcrossRuns) {
-  const auto ex = make(3);
+TEST(Executor, ReusableAcrossRuns) {
+  Executor ex(3);
   for (int round = 0; round < 5; ++round) {
     GraphBuilder gb;
     gb.begin_group("g");
@@ -243,13 +234,13 @@ TEST_P(ExecutorBackendTest, ReusableAcrossRuns) {
       gb.add_task(std::move(t));
     }
     const TaskGraph g = gb.build();
-    ex->run(g);
+    ex.run(g);
     EXPECT_EQ(n.load(), 20);
   }
-  EXPECT_EQ(ex->stats().tasks_run, 100u);
+  EXPECT_EQ(ex.stats().tasks_run, 100u);
 }
 
-TEST_P(ExecutorBackendTest, SingleWorkerIsSequential) {
+TEST(Executor, SingleWorkerIsSequential) {
   GraphBuilder gb;
   gb.begin_group("g");
   std::vector<int> order;
@@ -260,8 +251,8 @@ TEST_P(ExecutorBackendTest, SingleWorkerIsSequential) {
     gb.add_task(std::move(t));
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(1);
-  ex->run(g);
+  Executor ex(1);
+  ex.run(g);
   EXPECT_EQ(order.size(), 10u);
 }
 
@@ -269,7 +260,7 @@ TEST_P(ExecutorBackendTest, SingleWorkerIsSequential) {
 // round is an idle spin, not a failed steal. The counter used to be bumped
 // on every such round, inflating executor.steals_failed by the number of
 // idle spins between activations.
-TEST_P(ExecutorBackendTest, SingleWorkerReportsNoFailedSteals) {
+TEST(Executor, SingleWorkerReportsNoFailedSteals) {
   GraphBuilder gb;
   gb.begin_group("g");
   for (int i = 0; i < 16; ++i) {
@@ -281,22 +272,22 @@ TEST_P(ExecutorBackendTest, SingleWorkerReportsNoFailedSteals) {
     gb.add_task(std::move(t));
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(1);
-  ex->run(g);
-  EXPECT_EQ(ex->stats().tasks_run, 16u);
-  EXPECT_EQ(ex->stats().failed_steals, 0u);
-  EXPECT_EQ(ex->stats().steals, 0u);
+  Executor ex(1);
+  ex.run(g);
+  EXPECT_EQ(ex.stats().tasks_run, 16u);
+  EXPECT_EQ(ex.stats().failed_steals, 0u);
+  EXPECT_EQ(ex.stats().steals, 0u);
 }
 
-TEST_P(ExecutorBackendTest, RejectsBadConfig) {
-  EXPECT_THROW(make(0), ContractError);
-  const auto ex = make(1);
+TEST(Executor, RejectsBadConfig) {
+  EXPECT_THROW(Executor(0), ContractError);
+  Executor ex(1);
   GraphBuilder gb;
   gb.begin_group("empty");
-  EXPECT_THROW(ex->run(gb.build()), ContractError);
+  EXPECT_THROW(ex.run(gb.build()), ContractError);
 }
 
-TEST_P(ExecutorBackendTest, RejectsMisSizedTierHints) {
+TEST(Executor, RejectsMisSizedTierHints) {
   GraphBuilder gb;
   gb.begin_group("g");
   for (int i = 0; i < 4; ++i) {
@@ -306,12 +297,12 @@ TEST_P(ExecutorBackendTest, RejectsMisSizedTierHints) {
     gb.add_task(std::move(t));
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(2);
+  Executor ex(2);
   const std::vector<TierHint> wrong(3, TierHint::kHot);
-  EXPECT_THROW(ex->run(g, {}, wrong), ContractError);
+  EXPECT_THROW(ex.run(g, {}, wrong), ContractError);
 }
 
-TEST_P(ExecutorBackendTest, StatsAccountForEveryTask) {
+TEST(Executor, StatsAccountForEveryTask) {
   GraphBuilder gb;
   gb.begin_group("g");
   std::atomic<int> count{0};
@@ -324,35 +315,24 @@ TEST_P(ExecutorBackendTest, StatsAccountForEveryTask) {
     gb.add_task(std::move(t));
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(4);
-  ex->run(g);
+  Executor ex(4);
+  ex.run(g);
   EXPECT_EQ(count.load(), kTasks);
-  const ExecutorStats& s = ex->stats();
+  const ExecutorStats& s = ex.stats();
   EXPECT_EQ(s.tasks_run, static_cast<std::uint64_t>(kTasks));
-  // Every task was taken for execution exactly once, whichever backend.
+  // Every task was enqueued once and taken for execution exactly once.
   EXPECT_EQ(s.pops + s.steals + s.inject_takes,
             static_cast<std::uint64_t>(kTasks));
-  if (GetParam() == ExecutorBackend::kChaseLev) {
-    // Chase–Lev enqueues each task exactly once. The channel backend
-    // re-enqueues the tail of steal-half batches locally, so its pushes
-    // may exceed the task count (but never undercount it).
-    EXPECT_EQ(s.pushes, static_cast<std::uint64_t>(kTasks));
-    EXPECT_EQ(s.steal_requests, 0u);
-    EXPECT_EQ(s.steal_halves, 0u);
-  } else {
-    EXPECT_GE(s.pushes, static_cast<std::uint64_t>(kTasks));
-    // Every steal was granted by an explicit request; declines on top.
-    EXPECT_GE(s.steal_requests, s.steals + s.steal_declines);
-  }
+  EXPECT_EQ(s.pushes, static_cast<std::uint64_t>(kTasks));
   // The per-worker breakdown adds up to the aggregate.
   std::uint64_t per_worker_tasks = 0;
-  for (unsigned w = 0; w < ex->num_workers(); ++w) {
-    per_worker_tasks += ex->worker_stats(w).tasks_run;
+  for (unsigned w = 0; w < ex.num_workers(); ++w) {
+    per_worker_tasks += ex.worker_stats(w).tasks_run;
   }
   EXPECT_EQ(per_worker_tasks, s.tasks_run);
 }
 
-TEST_P(ExecutorBackendTest, ColdHintedTasksAllRunAndAreCounted) {
+TEST(Executor, ColdHintedTasksAllRunAndAreCounted) {
   GraphBuilder gb;
   gb.begin_group("g");
   std::atomic<int> count{0};
@@ -366,13 +346,13 @@ TEST_P(ExecutorBackendTest, ColdHintedTasksAllRunAndAreCounted) {
     hints.push_back(i % 2 == 0 ? TierHint::kCold : TierHint::kHot);
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(4);
-  ex->run(g, {}, hints);
+  Executor ex(4);
+  ex.run(g, {}, hints);
   EXPECT_EQ(count.load(), kTasks);
-  EXPECT_EQ(ex->stats().cold_takes, static_cast<std::uint64_t>(kTasks / 2));
+  EXPECT_EQ(ex.stats().cold_takes, static_cast<std::uint64_t>(kTasks / 2));
 }
 
-TEST_P(ExecutorBackendTest, SingleWorkerRunsHotTasksBeforeColdOnes) {
+TEST(Executor, SingleWorkerRunsHotTasksBeforeColdOnes) {
   // A head task fans out to 8 hot + 8 cold successors. With one worker all
   // successors are enqueued by that worker when the head completes, so the
   // hot-before-cold scheduling order is deterministic.
@@ -396,8 +376,8 @@ TEST_P(ExecutorBackendTest, SingleWorkerRunsHotTasksBeforeColdOnes) {
     hints.push_back(i % 2 == 0 ? TierHint::kHot : TierHint::kCold);
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(1);
-  ex->run(g, {}, hints);
+  Executor ex(1);
+  ex.run(g, {}, hints);
   ASSERT_EQ(order.size(), 16u);
   // The 8 hot successors (even i) all execute before any cold one.
   for (int pos = 0; pos < 8; ++pos) {
@@ -405,7 +385,7 @@ TEST_P(ExecutorBackendTest, SingleWorkerRunsHotTasksBeforeColdOnes) {
   }
 }
 
-TEST_P(ExecutorBackendTest, PhaseModeWithHintsKeepsBarrierSemantics) {
+TEST(Executor, PhaseModeWithHintsKeepsBarrierSemantics) {
   GraphBuilder gb;
   std::atomic<int> running{0};
   std::vector<TierHint> hints;
@@ -428,23 +408,23 @@ TEST_P(ExecutorBackendTest, PhaseModeWithHintsKeepsBarrierSemantics) {
     }
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(4);
-  ex->run(g, [&](GroupId gi) {
+  Executor ex(4);
+  ex.run(g, [&](GroupId gi) {
     current_group.store(static_cast<int>(gi), std::memory_order_release);
   }, hints);
   EXPECT_EQ(running.load(), 36);
   EXPECT_FALSE(violation.load());
 }
 
-TEST_P(ExecutorBackendTest, DestructorDrainsParkedWorkers) {
+TEST(Executor, DestructorDrainsParkedWorkers) {
   // Workers park when idle; destruction must wake and join them promptly
   // whether or not a run ever happened.
   {
-    const auto idle = make(8);
+    const Executor idle(8);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }  // destructor must not hang
   {
-    const auto used = make(8);
+    Executor used(8);
     GraphBuilder gb;
     gb.begin_group("g");
     std::atomic<int> n{0};
@@ -454,7 +434,7 @@ TEST_P(ExecutorBackendTest, DestructorDrainsParkedWorkers) {
       t.work = [&n]() { n.fetch_add(1); };
       gb.add_task(std::move(t));
     }
-    used->run(gb.build());
+    used.run(gb.build());
     EXPECT_EQ(n.load(), 32);
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }  // parked-after-work destructor must not hang either
@@ -466,7 +446,7 @@ TEST_P(ExecutorBackendTest, DestructorDrainsParkedWorkers) {
 // piled all its activations onto the first workers while the rest starved.
 // The cursor now persists across groups (and runs): over many 2-task
 // groups the scatter must come out balanced across all slots.
-TEST_P(ExecutorBackendTest, InjectionScatterIsBalancedAcrossSmallGroups) {
+TEST(Executor, InjectionScatterIsBalancedAcrossSmallGroups) {
   constexpr unsigned kWorkers = 4;
   constexpr int kGroups = 50;
   constexpr int kPerGroup = 2;  // fewer eligible tasks than workers
@@ -483,10 +463,10 @@ TEST_P(ExecutorBackendTest, InjectionScatterIsBalancedAcrossSmallGroups) {
     }
   }
   const TaskGraph g = gb.build();
-  const auto ex = make(kWorkers);
-  ex->run(g, [](GroupId) {});  // phase mode: groups activate one at a time
+  Executor ex(kWorkers);
+  ex.run(g, [](GroupId) {});  // phase mode: groups activate one at a time
   EXPECT_EQ(n.load(), kGroups * kPerGroup);
-  const std::vector<std::uint64_t> per_slot = ex->injection_slot_pushes();
+  const std::vector<std::uint64_t> per_slot = ex.injection_slot_pushes();
   ASSERT_EQ(per_slot.size(), kWorkers);
   std::uint64_t total = 0;
   for (const std::uint64_t c : per_slot) total += c;
@@ -505,7 +485,7 @@ TEST_P(ExecutorBackendTest, InjectionScatterIsBalancedAcrossSmallGroups) {
 // arbitrary DAGs; execution must run every task exactly once and never
 // start a task before all of its predecessors finished. The completion
 // index per task is recorded and checked against every edge.
-TEST_P(ExecutorBackendTest, RandomizedGraphOracle) {
+TEST(Executor, RandomizedGraphOracle) {
   for (const std::uint64_t seed : {1ull, 7ull, 1234ull, 0xdeadull}) {
     Rng rng(seed);
     GraphBuilder gb;
@@ -566,32 +546,37 @@ TEST_P(ExecutorBackendTest, RandomizedGraphOracle) {
       hints.push_back(rng.next_below(2) == 0 ? TierHint::kHot
                                              : TierHint::kCold);
     }
-    const auto ex = make(4);
+    Executor ex(4);
     const bool phase = rng.next_below(2) == 0;
     if (phase) {
-      ex->run(g2, [](GroupId) {}, hints);
+      ex.run(g2, [](GroupId) {}, hints);
     } else {
-      ex->run(g2, {}, hints);
+      ex.run(g2, {}, hints);
     }
     EXPECT_EQ(executed.load(), total) << "seed " << seed;
     EXPECT_FALSE(order_violation.load()) << "seed " << seed;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, ExecutorBackendTest,
-    ::testing::Values(ExecutorBackend::kChaseLev, ExecutorBackend::kChannel),
-    [](const ::testing::TestParamInfo<ExecutorBackend>& param_info) {
-      return std::string(to_string(param_info.param));
-    });
-
-TEST(ExecutorBackendParsing, RoundTripsAndRejectsUnknown) {
-  EXPECT_EQ(parse_executor_backend("chaselev"), ExecutorBackend::kChaseLev);
-  EXPECT_EQ(parse_executor_backend("channel"), ExecutorBackend::kChannel);
-  EXPECT_FALSE(parse_executor_backend("").has_value());
-  EXPECT_FALSE(parse_executor_backend("Channel").has_value());
-  EXPECT_STREQ(to_string(ExecutorBackend::kChaseLev), "chaselev");
-  EXPECT_STREQ(to_string(ExecutorBackend::kChannel), "channel");
+// perfbench/ reaches the executor through `IExecutor`, `make_executor`,
+// `ExecutorBackend::kChaseLev` and `RuntimeConfig::executor_backend`. The
+// tests do not build perfbench, so this case keeps those names compiling.
+TEST(Executor, BenchmarkHarnessSpellingsResolve) {
+  GraphBuilder gb;
+  gb.begin_group("g");
+  std::atomic<int> n{0};
+  for (int i = 0; i < 8; ++i) {
+    Task t;
+    t.accesses = {acc(static_cast<hms::ObjectId>(i), AccessMode::Write)};
+    t.work = [&n]() { n.fetch_add(1, std::memory_order_relaxed); };
+    gb.add_task(std::move(t));
+  }
+  const std::unique_ptr<IExecutor> ex =
+      make_executor(ExecutorBackend::kChaseLev, 2);
+  ex->run(gb.build());
+  EXPECT_EQ(n.load(), 8);
+  EXPECT_EQ(ex->num_workers(), 2u);
+  EXPECT_EQ(core::RuntimeConfig{}.executor_backend, ExecutorBackend::kChaseLev);
 }
 
 }  // namespace

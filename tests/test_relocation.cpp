@@ -9,9 +9,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <string>
+#include <vector>
 
+#include "common/assert.hpp"
 #include "common/units.hpp"
+#include "hms/layout.hpp"
 #include "hms/registry.hpp"
 #include "hms/walk.hpp"
 
@@ -182,6 +186,41 @@ TEST(Relocation, MutationsAfterCopyDoNotLeakIntoTheImage) {
   EXPECT_EQ(frozen, snapshot);
   EXPECT_NE(live, frozen);
   EXPECT_EQ(live.live_objects, frozen.live_objects + 1);
+}
+
+// The arena range list is read from untrusted image bytes. A `next` that
+// closes a cycle, a zero-size range, or a range larger than the arena must
+// make the walk throw instead of looping forever.
+TEST(Relocation, CorruptArenaRangeListIsRejected) {
+  ObjectRegistry reg({256 * kKiB, 4 * kMiB}, Backing::Real);
+  void* alias_slot = nullptr;
+  populate(reg, &alias_slot);
+  const Segment& seg = reg.segment();
+
+  // Walks a copy of the image after `corrupt` edited the first range node
+  // of tier 0's arena (its own segment offset is passed along).
+  const auto walk_corrupted =
+      [&seg](const std::function<void(RangeNode&, std::uint64_t)>& corrupt) {
+        std::vector<std::byte> image(seg.size());
+        std::memcpy(image.data(), seg.base(), seg.size());
+        const Segment view = Segment::attach(image.data(), image.size());
+        const auto* root = view.at_as<const RegistryRoot>(view.root());
+        const auto* arena = view.at_as<const ArenaRoot>(root->arena_root[0]);
+        corrupt(*view.at_as<RangeNode>(arena->range_head), arena->range_head);
+        return walk_registry(view);
+      };
+
+  EXPECT_NO_THROW(walk_corrupted([](RangeNode&, std::uint64_t) {}));
+  EXPECT_THROW(walk_corrupted([](RangeNode& n, std::uint64_t self) {
+                 n.next = self;
+               }),
+               ContractError);
+  EXPECT_THROW(walk_corrupted([](RangeNode& n, std::uint64_t) { n.size = 0; }),
+               ContractError);
+  EXPECT_THROW(walk_corrupted([](RangeNode& n, std::uint64_t) {
+                 n.size = ~std::uint64_t{0};
+               }),
+               ContractError);
 }
 
 }  // namespace
