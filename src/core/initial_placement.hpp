@@ -10,7 +10,7 @@
 // paper.
 #pragma once
 
-#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/policy.hpp"
@@ -18,17 +18,12 @@
 
 namespace tahoe::core {
 
-/// Unit-level DRAM choice: returns the (object, chunk) units to place in
-/// DRAM at allocation time. Chunked objects distribute the object estimate
-/// over chunks proportionally to chunk size.
-std::vector<UnitKey> choose_initial_dram(const std::vector<ObjectInfo>& objects,
-                                         std::uint64_t dram_capacity);
-
-/// N-tier generalization: waterfall the static estimates over every
-/// constrained tier, fastest first — the tier-0 knapsack gets first pick,
-/// remaining units cascade to the next tier, and whatever is left stays on
-/// the capacity tier. Returns (unit, tier) pairs for the constrained
-/// tiers only.
+/// Waterfall the static estimates over every constrained tier, fastest
+/// first — the tier-0 knapsack gets first pick, remaining units cascade to
+/// the next tier, and whatever is left stays on the capacity tier (on a
+/// two-tier machine: one knapsack over DRAM). Chunked objects distribute
+/// the object estimate over chunks proportionally to chunk size. Returns
+/// (unit, tier) pairs for the constrained tiers only.
 std::vector<std::pair<UnitKey, memsim::TierId>> choose_initial_tiers(
     const std::vector<ObjectInfo>& objects, const memsim::Machine& machine);
 

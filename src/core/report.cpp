@@ -5,9 +5,9 @@
 namespace tahoe::core {
 namespace {
 
-/// Same digest shape as the "histograms" section, reused for the
-/// per-tenant latency fields so consumers parse one format.
-void write_digest(trace::JsonWriter& w, const char* key,
+/// One histogram digest: the "histograms" section and the per-tenant
+/// latency fields share it, so consumers parse one format.
+void write_digest(trace::JsonWriter& w, const std::string& key,
                   const trace::HistogramSnapshot& h) {
   w.key(key).begin_object();
   w.kv("count", h.count());
@@ -17,6 +17,26 @@ void write_digest(trace::JsonWriter& w, const char* key,
   w.kv("p99", h.p99());
   w.kv("max", h.max);
   w.end_object();
+}
+
+/// The header both documents open with: schema version, run identity and,
+/// in the multi-tier layouts, the tier names.
+void write_header(trace::JsonWriter& w, std::uint64_t schema_version,
+                  const RunReport& r) {
+  w.kv("schema_version", schema_version);
+  w.kv("workload", r.workload);
+  w.kv("policy", r.policy);
+  w.kv("strategy", r.strategy);
+  if (r.multi_tier()) {
+    w.key("tiers").begin_array();
+    for (const std::string& t : r.tier_names) w.value(t);
+    w.end_array();
+  }
+}
+
+/// A per-tier tally, 0 for tiers past the end of the vector.
+std::uint64_t on_tier(const std::vector<std::uint64_t>& v, std::size_t tier) {
+  return tier < v.size() ? v[tier] : 0;
 }
 
 }  // namespace
@@ -45,15 +65,7 @@ void RunReport::write_json(
   const bool v4 = serving();
   trace::JsonWriter w(os);
   w.begin_object();
-  w.kv("schema_version", std::uint64_t{v4 ? 4u : (v3 ? 3u : 2u)});
-  w.kv("workload", workload);
-  w.kv("policy", policy);
-  w.kv("strategy", strategy);
-  if (v3) {
-    w.key("tiers").begin_array();
-    for (const std::string& t : tier_names) w.value(t);
-    w.end_array();
-  }
+  write_header(w, v4 ? 4u : (v3 ? 3u : 2u), *this);
   w.kv("compute_seconds", compute_seconds);
   w.kv("overhead_seconds", overhead_seconds);
   w.kv("decision_seconds", decision_seconds);
@@ -87,16 +99,7 @@ void RunReport::write_json(
   for (const auto& [name, value] : gauges) w.kv(name, value);
   w.end_object();
   w.key("histograms").begin_object();
-  for (const auto& [name, h] : histograms) {
-    w.key(name).begin_object();
-    w.kv("count", h.count());
-    w.kv("sum", h.sum);
-    w.kv("p50", h.p50());
-    w.kv("p90", h.p90());
-    w.kv("p99", h.p99());
-    w.kv("max", h.max);
-    w.end_object();
-  }
+  for (const auto& [name, h] : histograms) write_digest(w, name, h);
   w.end_object();
   if (v4) {
     w.key("tenants").begin_array();
@@ -125,19 +128,19 @@ void RunReport::write_json(
     if (v3) {
       w.key("tier_loads").begin_array();
       for (std::size_t t = 0; t < tier_names.size(); ++t) {
-        w.value(t < r.tier_loads.size() ? r.tier_loads[t] : 0);
+        w.value(on_tier(r.tier_loads, t));
       }
       w.end_array();
       w.key("tier_stores").begin_array();
       for (std::size_t t = 0; t < tier_names.size(); ++t) {
-        w.value(t < r.tier_stores.size() ? r.tier_stores[t] : 0);
+        w.value(on_tier(r.tier_stores, t));
       }
       w.end_array();
     } else {
-      w.kv("dram_loads", r.dram_loads);
-      w.kv("dram_stores", r.dram_stores);
-      w.kv("nvm_loads", r.nvm_loads);
-      w.kv("nvm_stores", r.nvm_stores);
+      w.kv("dram_loads", on_tier(r.tier_loads, 0));
+      w.kv("dram_stores", on_tier(r.tier_stores, 0));
+      w.kv("nvm_loads", on_tier(r.tier_loads, 1));
+      w.kv("nvm_stores", on_tier(r.tier_stores, 1));
     }
     w.kv("sampled_loads", r.sampled_loads);
     w.kv("sampled_stores", r.sampled_stores);
@@ -179,15 +182,7 @@ void RunReport::write_explain_json(std::ostream& os) const {
   const bool v3 = multi_tier();
   trace::JsonWriter w(os);
   w.begin_object();
-  w.kv("schema_version", std::uint64_t{v3 ? 3u : 2u});
-  w.kv("workload", workload);
-  w.kv("policy", policy);
-  w.kv("strategy", strategy);
-  if (v3) {
-    w.key("tiers").begin_array();
-    for (const std::string& t : tier_names) w.value(t);
-    w.end_array();
-  }
+  write_header(w, v3 ? 3u : 2u, *this);
   w.key("plans").begin_array();
   for (const PlanRecord& p : plans) {
     w.begin_object();

@@ -15,8 +15,17 @@
 //   * run_real() — real threads, real kernels, real memcpy migrations,
 //     used by integration tests and examples to validate correctness of
 //     the data-management machinery.
+//
+// run() is a short driver over private stages: prepare() allocates and
+// the static initial placement runs, then every iteration
+// SimRun::simulate_iteration() simulates under the installed schedule and
+// decide() plans (offline policies up front, profiling ones once their
+// profiles are in); SimRun::report_attribution() closes the run.
+// run_static()/run_pinned() share run_fixed(): prepare(), a fixed
+// placement, and simulate_iteration() with an empty schedule.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 
@@ -111,27 +120,31 @@ class Runtime {
     hms::PlacementMap placement;
   };
 
+  /// One simulated run's state, threaded through the stages (runtime.cpp).
+  struct SimRun;
+
   /// Allocate the app's objects and build the object inventory.
   AppState prepare(Application& app, bool huge_tiers);
 
-  /// The fixed-placement loop behind run_static() and run_pinned():
-  /// simulate every iteration on `machine` with `state.placement` and no
-  /// migration, reporting under `policy`.
-  RunReport run_fixed(Application& app, AppState& state,
-                      const memsim::Machine& machine,
-                      const std::string& policy);
+  /// Plan on `graph` — with `profiles`, or none for offline policies — then
+  /// validate that every planned fill can actually reserve its space (an
+  /// armed FaultInjector may veto reservations). An object whose
+  /// reservation keeps failing is pinned to NVM and the policy re-plans
+  /// without it — the paper runtime's graceful degradation to a smaller
+  /// effective DRAM; the pins persist across re-profiles. Every planning
+  /// round (degraded re-plans too) is appended to the report's `plans`
+  /// with object names resolved, tagged with `iteration`. The validated
+  /// schedule is installed in `run`.
+  void decide(SimRun& run, Policy& policy, const task::TaskGraph& graph,
+              const PhaseProfiles* profiles, std::size_t iteration);
 
-  /// Run the policy, then validate that every planned DRAM fill can
-  /// actually reserve its space (an armed FaultInjector may veto
-  /// reservations). An object whose reservation keeps failing is pinned to
-  /// NVM and the policy re-plans without it — the paper runtime's graceful
-  /// degradation to a smaller effective DRAM. `pinned` persists across
-  /// calls so re-profiling keeps earlier demotions. Every planning round
-  /// (including degraded re-plans) is appended to `report.plans` with
-  /// object names resolved, tagged with `iteration`.
-  PlanDecision decide_validated(Policy& policy, PlanInputs inputs,
-                                std::vector<hms::ObjectId>& pinned,
-                                RunReport& report, std::size_t iteration);
+  /// The fixed-placement loop behind run_static() and run_pinned(): `place`
+  /// sets every unit's tier (and may enlarge tiers of the machine copy it
+  /// is given), then every iteration is simulated with no migration,
+  /// reporting under `policy`.
+  RunReport run_fixed(
+      Application& app, const std::string& policy,
+      const std::function<void(AppState&, memsim::Machine&)>& place);
 
   RuntimeConfig config_;
 };

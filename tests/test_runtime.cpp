@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/fault.hpp"
 #include "common/units.hpp"
 #include "core/calibration.hpp"
 #include "core/planner.hpp"
@@ -148,6 +149,24 @@ TEST(Runtime, ReportAccountingConsistent) {
   EXPECT_LE(r.overlap_fraction(), 1.0);
   EXPECT_EQ(r.workload, "stream");
   EXPECT_EQ(r.policy, "tahoe");
+}
+
+TEST(Runtime, StaticRunCountsInjectedFaults) {
+  // Allocation failures strike while the objects are allocated, before the
+  // first simulated iteration; the registry retries and falls back, so the
+  // run completes and its report must account for every injection.
+  fault::FaultConfig faults;
+  faults.seed = 42;
+  faults.alloc_failure = 0.5;
+  fault::global().configure(faults);
+  const std::uint64_t before = fault::global().total_injected();
+  workloads::StreamApp app({48 * kMiB, 8, 5});
+  core::Runtime rt(config());
+  const core::RunReport r = rt.run_static(app, memsim::kDram);
+  const std::uint64_t injected = fault::global().total_injected() - before;
+  fault::global().disarm();
+  EXPECT_GT(injected, 0u);
+  EXPECT_EQ(r.faults_injected, injected);
 }
 
 TEST(Runtime, RunRealExecutesAndVerifies) {

@@ -1,11 +1,13 @@
-// Two-tier behavior-preservation goldens (N-tier refactor PR).
+// Behavior-preservation goldens for the report and explain JSON.
 //
-// The N-tier generalization must not change a single byte of the report or
-// explain JSON of existing two-tier configurations. These tests replay
-// seeded simulated runs on `platform_a` and `optane_platform` and compare
-// the serialized output against goldens captured *before* the refactor
-// (tests/golden/*.json). Regenerate deliberately with
-// TAHOE_UPDATE_GOLDENS=1 after verifying a behavior change is intended.
+// Refactors of the runtime must not change a single byte of the exported
+// documents. These tests replay seeded simulated runs on `platform_a` and
+// `optane_platform` (schema v2), on the four-tier `cxl_platform` (schema
+// v3: tier lists, per-tier attribution, tier-pair flows) and one
+// fixed-placement baseline, and compare the serialized output against
+// goldens captured *before* the refactor they guard (tests/golden/*.json).
+// Regenerate deliberately with TAHOE_UPDATE_GOLDENS=1 after verifying a
+// behavior change is intended.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -49,6 +51,19 @@ core::RuntimeConfig optane_config() {
   return c;
 }
 
+/// Fast tiers far smaller than cg's test-scale working set, so the plan
+/// spreads it over all four tiers and the report carries several tier-pair
+/// flows.
+core::RuntimeConfig cxl_config() {
+  core::RuntimeConfig c;
+  c.machine = memsim::machines::cxl_platform(32 * kKiB, 64 * kKiB, 128 * kKiB,
+                                             4 * kGiB);
+  c.backing = hms::Backing::Virtual;
+  c.fixed_decision_seconds = 0.0;
+  c.attribution = true;
+  return c;
+}
+
 struct RunJson {
   std::string report;
   std::string explain;
@@ -56,15 +71,18 @@ struct RunJson {
 
 /// One fully reset seeded run: the report body alone (no counter/gauge
 /// snapshots — those may legitimately gain new entries over time) plus the
-/// explain document.
+/// explain document. `fixed_fastest` runs the all-on-the-fastest-tier
+/// baseline instead of the Tahoe policy.
 RunJson run_json(const core::RuntimeConfig& config,
-                 const std::string& workload) {
+                 const std::string& workload, bool fixed_fastest = false) {
   fault::global().disarm();
   trace::global_counters().reset();
   auto app = workloads::make_workload(workload, workloads::Scale::Test);
   core::Runtime rt(config);
   core::TahoePolicy policy(core::calibrate(rt.machine()).to_constants());
-  const core::RunReport report = rt.run(*app, policy);
+  const core::RunReport report =
+      fixed_fastest ? rt.run_static(*app, rt.machine().fastest_tier())
+                    : rt.run(*app, policy);
   RunJson out;
   {
     std::ostringstream os;
@@ -98,8 +116,8 @@ void check_golden(const std::string& name, const std::string& actual) {
                          << " (run with TAHOE_UPDATE_GOLDENS=1 to capture)";
   std::ostringstream buf;
   buf << is.rdbuf();
-  EXPECT_EQ(buf.str(), actual) << "two-tier run diverged from the "
-                                  "pre-refactor golden " << name;
+  EXPECT_EQ(buf.str(), actual) << "run diverged from the pre-refactor "
+                                  "golden " << name;
 }
 
 TEST(TierGoldens, PlatformACgReportIsByteIdentical) {
@@ -125,6 +143,21 @@ TEST(TierGoldens, OptaneCgReportIsByteIdentical) {
 TEST(TierGoldens, OptaneSpReportIsByteIdentical) {
   const RunJson r = run_json(optane_config(), "sp");
   check_golden("optane_sp.report.json", r.report);
+}
+
+TEST(TierGoldens, PlatformACgStaticReportIsByteIdentical) {
+  const RunJson r = run_json(platform_a_config(), "cg", /*fixed_fastest=*/true);
+  check_golden("platform_a_cg_static.report.json", r.report);
+}
+
+TEST(TierGoldens, CxlCgReportIsByteIdentical) {
+  const RunJson r = run_json(cxl_config(), "cg");
+  check_golden("cxl_cg.report.json", r.report);
+}
+
+TEST(TierGoldens, CxlCgExplainIsByteIdentical) {
+  const RunJson r = run_json(cxl_config(), "cg");
+  check_golden("cxl_cg.explain.json", r.explain);
 }
 
 }  // namespace
