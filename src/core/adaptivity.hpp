@@ -2,7 +2,7 @@
 //
 // After data movement is in place, the runtime keeps watching per-group
 // execution times. When a group deviates from the baseline captured at
-// decision time by more than the threshold (10 % in the paper), the
+// decision time by more than kThreshold (10 %, as in the paper), the
 // runtime re-activates phase profiling and re-decides placement.
 #pragma once
 
@@ -12,21 +12,20 @@ namespace tahoe::core {
 
 class AdaptiveMonitor {
  public:
-  explicit AdaptiveMonitor(double threshold = 0.10) : threshold_(threshold) {}
+  /// Relative deviation that counts as a workload change.
+  static constexpr double kThreshold = 0.10;
 
   /// Capture the expected per-group durations (decision-time state).
   void set_baseline(std::vector<double> group_seconds);
 
   bool has_baseline() const noexcept { return !baseline_.empty(); }
-  double threshold() const noexcept { return threshold_; }
 
   /// True when the observed iteration deviates "obviously": any group
-  /// carrying at least 1 % of the iteration deviates by more than the
-  /// threshold, or the iteration total does.
+  /// carrying at least 1 % of the iteration deviates by more than
+  /// kThreshold, or the iteration total does.
   bool deviates(const std::vector<double>& group_seconds) const;
 
  private:
-  double threshold_;
   std::vector<double> baseline_;
   double baseline_total_ = 0.0;
 };

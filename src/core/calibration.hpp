@@ -24,8 +24,9 @@ struct CalibrationResult {
   double bw_peak_nvm = 0.0;   ///< bytes/s, via Eq. (1) on the NVM tier
   double bw_peak_dram = 0.0;  ///< bytes/s, same measurement on DRAM
 
-  ModelConstants to_constants(double t1 = 0.80, double t2 = 0.10) const {
-    return ModelConstants{cf_bw, cf_lat, bw_peak_nvm, t1, t2};
+  /// The sensitivity thresholds keep ModelConstants' defaults.
+  ModelConstants to_constants() const {
+    return ModelConstants{cf_bw, cf_lat, bw_peak_nvm};
   }
 };
 

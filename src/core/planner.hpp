@@ -37,9 +37,6 @@ struct TahoeOptions {
   /// (for the technique-contribution ablation).
   enum class Strategy { Auto, GlobalOnly, LocalOnly };
   Strategy strategy = Strategy::Auto;
-  /// Sensitivity thresholds (fractions of peak NVM bandwidth).
-  double t1 = 0.80;
-  double t2 = 0.10;
   /// When false, disable lookahead: every copy triggers exactly when it is
   /// needed, exposing the full movement cost (the proactive-migration
   /// ablation).

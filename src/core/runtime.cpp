@@ -22,6 +22,16 @@ namespace tahoe::core {
 
 namespace {
 
+/// Iterations profiled before each placement decision, as in the paper.
+constexpr std::size_t kProfileIterations = 2;
+/// Modeled cost per collected hardware sample (counter readout).
+constexpr double kSampleCostSeconds = 50e-9;
+/// Modeled cost of the queue-status check at each phase boundary.
+constexpr double kSyncCostSeconds = 2e-6;
+/// Extra attempts to reserve space for a planned fill before the object is
+/// pinned to the capacity tier and the policy re-plans.
+constexpr int kReservationRetries = 3;
+
 /// Register the standard track labels on the global tracer (no-op when
 /// tracing is off). Shared by the simulated and real execution paths.
 void name_standard_tracks(std::uint32_t workers) {
@@ -37,14 +47,14 @@ void name_standard_tracks(std::uint32_t workers) {
 
 /// Replay the planned schedule against a hypothetical occupancy of every
 /// constrained tier and return the first object whose fill cannot reserve
-/// space even after `retries` extra attempts (injected vetoes model racing
-/// consumers of the tier). Returns kInvalidObject when the whole schedule
-/// reserves cleanly. On two-tier machines this makes exactly the same
-/// try_reserve calls in the same order as the original single-tier replay,
-/// so seeded fault-injection sequences are preserved.
+/// space even after kReservationRetries extra attempts (injected vetoes
+/// model racing consumers of the tier). Returns kInvalidObject when the
+/// whole schedule reserves cleanly. On two-tier machines this makes exactly
+/// the same try_reserve calls in the same order as the original single-tier
+/// replay, so seeded fault-injection sequences are preserved.
 hms::ObjectId first_unreservable(
     const PlanInputs& in, const std::vector<task::ScheduledCopy>& schedule,
-    const memsim::Machine& machine, int retries) {
+    const memsim::Machine& machine) {
   const memsim::TierId cap_tier = machine.capacity_tier();
   std::vector<hms::SpaceManager> spaces;
   spaces.reserve(cap_tier);
@@ -79,7 +89,8 @@ hms::ObjectId first_unreservable(
       if (t != c.dst) spaces[t].remove(c.object, c.chunk);
     }
     bool reserved = false;
-    for (int attempt = 0; attempt <= retries && !reserved; ++attempt) {
+    for (int attempt = 0; attempt <= kReservationRetries && !reserved;
+         ++attempt) {
       reserved = spaces[c.dst].try_reserve(c.object, c.chunk, c.bytes);
     }
     if (!reserved) return c.object;
@@ -286,8 +297,7 @@ std::vector<ObjectInfo> collect_objects(const hms::ObjectRegistry& registry) {
 
 std::vector<task::TierHint> compute_tier_hints(
     const task::TaskGraph& graph, const hms::ObjectRegistry& registry,
-    const std::vector<task::ScheduledCopy>& schedule,
-    memsim::TierId hot_tiers) {
+    const std::vector<task::ScheduledCopy>& schedule) {
   // Start from the registry's current placement...
   std::map<hms::ObjectId, std::vector<memsim::DeviceId>> device;
   for (const hms::ObjectId id : registry.live_objects()) {
@@ -319,9 +329,11 @@ std::vector<task::TierHint> compute_tier_hints(
         if (it == device.end()) continue;  // unknown object: assume hot
         const std::vector<memsim::DeviceId>& d = it->second;
         if (a.chunk == task::kAllChunks) {
-          for (const memsim::DeviceId dev : d) nvm_bound |= dev >= hot_tiers;
+          for (const memsim::DeviceId dev : d) {
+            nvm_bound |= dev != memsim::kDram;
+          }
         } else if (a.chunk < d.size()) {
-          nvm_bound |= d[a.chunk] >= hot_tiers;
+          nvm_bound |= d[a.chunk] != memsim::kDram;
         }
         if (nvm_bound) break;
       }
@@ -332,8 +344,6 @@ std::vector<task::TierHint> compute_tier_hints(
 }
 
 Runtime::Runtime(RuntimeConfig config) : config_(std::move(config)) {
-  TAHOE_REQUIRE(config_.profile_iterations >= 1,
-                "need at least one profiling iteration");
   TAHOE_REQUIRE(config_.machine.devices.size() >= 2,
                 "machine must have DRAM and NVM tiers");
 }
@@ -407,8 +417,7 @@ void Runtime::decide(SimRun& run, Policy& policy, const task::TaskGraph& graph,
     }
     record_plan(decision, round);
     const hms::ObjectId offender =
-        first_unreservable(inputs, decision.schedule, run.machine,
-                           config_.reservation_retries);
+        first_unreservable(inputs, decision.schedule, run.machine);
     if (offender == hms::kInvalidObject) break;
     if (round + 1 >= kMaxRounds) {
       // Last resort: keep the plan but strip the offender's fills so the
@@ -429,7 +438,7 @@ void Runtime::decide(SimRun& run, Policy& policy, const task::TaskGraph& graph,
     trace::global_counters().get("plan.degraded").increment();
     TAHOE_WARN("DRAM reservation for object "
                << offender << " failed "
-               << (config_.reservation_retries + 1)
+               << (kReservationRetries + 1)
                << " times; pinning it to NVM and re-planning");
   }
 
@@ -470,9 +479,9 @@ RunReport Runtime::run(Application& app, Policy& policy) {
 
   Profiler profiler(memsim::Sampler(machine.sample_interval, machine.cpu_hz,
                                     machine.seed));
-  AdaptiveMonitor monitor(config_.adapt_threshold);
+  AdaptiveMonitor monitor;
   std::size_t profiling_left =
-      policy.needs_profiling() ? config_.profile_iterations : 0;
+      policy.needs_profiling() ? kProfileIterations : 0;
   std::size_t enforced_since_decision = 0;
   const std::size_t iterations = app.iterations();
   TAHOE_REQUIRE(iterations >= 1, "application declares no iterations");
@@ -488,13 +497,13 @@ RunReport Runtime::run(Application& app, Policy& policy) {
     const std::uint64_t samples_before = profiler.samples_taken();
     const task::SimReport sim = run.simulate_iteration(graph);
     report.overhead_seconds +=
-        static_cast<double>(graph.num_groups()) * config_.sync_cost_seconds;
+        static_cast<double>(graph.num_groups()) * kSyncCostSeconds;
 
     if (profiling_left > 0) {
       profiler.observe(graph, sim);
       const std::uint64_t samples = profiler.samples_taken() - samples_before;
       report.overhead_seconds +=
-          static_cast<double>(samples) * config_.sample_cost_seconds;
+          static_cast<double>(samples) * kSampleCostSeconds;
       if (tracer != nullptr) {
         tracer->complete(trace::kPlannerTrack, "profile", start, sim.makespan,
                          "iteration", iter, "samples", samples);
@@ -513,7 +522,7 @@ RunReport Runtime::run(Application& app, Policy& policy) {
         ++report.reprofiles;
         trace::global_counters().get("runtime.reprofiles").increment();
         profiler.reset();
-        profiling_left = config_.profile_iterations;
+        profiling_left = kProfileIterations;
         if (tracer != nullptr) {
           tracer->instant(trace::kPlannerTrack, "reprofile", run.vclock,
                           "iteration", iter);
@@ -615,14 +624,11 @@ RunReport Runtime::run_real_report(
   RunScope scope("real:" + app.name(), app.name(), "real", config_.machine);
   AppState state = prepare(app, /*huge_tiers=*/false);
   name_standard_tracks(workers);
-  hms::MigrationEngine::Options eopts;
-  eopts.mode = hms::MigrationEngine::Mode::HelperThread;
-  eopts.max_retries = config_.migration_max_retries;
-  hms::MigrationEngine engine(*state.registry, eopts);
-  // The pool and the graph its workers read for every task live on the
-  // heap, not in this frame: next to this thread's stack, real-lu
-  // iterations measured ~25% (pool) and ~30% (graph) slower (4-core Xeon,
-  // perfbench).
+  // The migration engine, the pool and the graph its workers read for every
+  // task live on the heap, not in this frame: next to this thread's stack,
+  // real-lu iterations measured ~25% (engine), ~25% (pool) and ~30% (graph)
+  // slower (4-core Xeon, perfbench).
+  const auto engine = std::make_unique<hms::MigrationEngine>(*state.registry);
   const auto executor = std::make_unique<task::Executor>(workers);
   const auto graph = std::make_unique<task::TaskGraph>();
   const double deadline = config_.migration_wait_deadline_seconds;
@@ -642,36 +648,36 @@ RunReport Runtime::run_real_report(
       // simply read from the source tier.
       for (const task::ScheduledCopy& c : schedule) {
         if (c.trigger_group == g) {
-          engine.enqueue(hms::MigrationRequest{c.object, c.chunk, c.dst,
-                                               c.needed_group});
+          engine->enqueue(hms::MigrationRequest{c.object, c.chunk, c.dst,
+                                                c.needed_group});
         }
       }
       if (deadline > 0.0) {
-        if (!engine.wait_tag_for(g, deadline)) {
-          const std::size_t n = engine.cancel_tag(g);
+        if (!engine->wait_tag_for(g, deadline)) {
+          const std::size_t n = engine->cancel_tag(g);
           TAHOE_WARN("group " << g << " migration wait exceeded " << deadline
                               << " s; cancelled " << n
                               << " queued request(s) and proceeding");
           // The one in-flight copy (if any) cannot be cancelled safely;
           // it is a single bounded memcpy, so finish the protocol on it.
-          engine.wait_tag(g);
+          engine->wait_tag(g);
         }
       } else {
-        engine.wait_tag(g);
+        engine->wait_tag(g);
       }
     }, hints);
   }
-  engine.drain();
+  engine->drain();
 
   RunReport& report = scope.report;
   report.verified = app.verify(*state.registry);
   const hms::MigrationStats& ms = state.registry->stats();
   report.migrations = ms.migrations;
   report.bytes_moved = ms.bytes_moved;
-  report.migrations_retried = engine.retried();
-  report.migrations_aborted = engine.aborted();
-  report.migrations_cancelled = engine.cancelled();
-  report.plans_degraded = engine.degraded_objects().size();
+  report.migrations_retried = engine->retried();
+  report.migrations_aborted = engine->aborted();
+  report.migrations_cancelled = engine->cancelled();
+  report.plans_degraded = engine->degraded_objects().size();
   report.tasks_executed = executor->stats().tasks_run;
   return scope.close(*state.registry);
 }

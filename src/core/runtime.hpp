@@ -42,22 +42,9 @@ struct RuntimeConfig {
   /// Virtual backing skips payload allocation/copies; simulation results
   /// are identical. run_real() requires Real.
   hms::Backing backing = hms::Backing::Real;
-  std::size_t profile_iterations = 2;
   bool initial_placement = true;
   bool chunking = true;
   bool adaptive = true;
-  double adapt_threshold = 0.10;
-  /// Modeled cost per collected hardware sample (counter readout).
-  double sample_cost_seconds = 50e-9;
-  /// Modeled cost of the queue-status check at each phase boundary.
-  double sync_cost_seconds = 2e-6;
-
-  // Degradation knobs (all fault-injection aware).
-  /// Attempts to reserve DRAM for a planned fill before the object is
-  /// pinned to NVM and the policy re-plans.
-  int reservation_retries = 3;
-  /// Copy-abort retries inside the real migration engine.
-  int migration_max_retries = 3;
   /// Phase-boundary wait bound for run_real: if the copies a group needs
   /// are not done within this budget (e.g. a stalled helper), the pending
   /// requests are cancelled and the group proceeds from the source tier.
@@ -159,12 +146,9 @@ std::vector<ObjectInfo> collect_objects(const hms::ObjectRegistry& registry);
 /// ScheduledCopy whose needed_group is not after the task's group) and
 /// `kCold` otherwise, so the executor defers NVM-bound tasks while their
 /// objects' promotions are still in flight. Accesses to objects unknown to
-/// the registry are treated as hot. On N-tier machines, `hot_tiers` sets
-/// how many of the fastest tiers count as "hot" (the default 1 reproduces
-/// the DRAM/NVM split).
+/// the registry are treated as hot. Only the fastest tier counts as hot.
 std::vector<task::TierHint> compute_tier_hints(
     const task::TaskGraph& graph, const hms::ObjectRegistry& registry,
-    const std::vector<task::ScheduledCopy>& schedule,
-    memsim::TierId hot_tiers = 1);
+    const std::vector<task::ScheduledCopy>& schedule);
 
 }  // namespace tahoe::core

@@ -12,11 +12,12 @@
 namespace tahoe::hms {
 
 struct ChunkingPolicy {
-  std::uint64_t dram_capacity = 0;
   /// A chunk should be at most this fraction of DRAM so several can
   /// coexist with other resident objects.
-  double max_chunk_dram_fraction = 0.25;
-  std::size_t max_chunks = 64;
+  static constexpr double kMaxChunkDramFraction = 0.25;
+  static constexpr std::size_t kMaxChunks = 64;
+
+  std::uint64_t dram_capacity = 0;
 
   /// Number of chunks for an object of `bytes`. Returns 1 (no split) when
   /// the object is not partitionable, already fits the chunk budget, or

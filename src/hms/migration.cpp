@@ -19,52 +19,30 @@ void sleep_seconds(double seconds) {
 
 }  // namespace
 
-MigrationEngine::MigrationEngine(ObjectRegistry& registry, Mode mode)
-    : MigrationEngine(registry, Options{.mode = mode}) {}
-
-MigrationEngine::MigrationEngine(ObjectRegistry& registry,
-                                 const Options& options)
-    : registry_(registry), options_(options) {
-  TAHOE_REQUIRE(options_.max_retries >= 0, "negative retry bound");
-  TAHOE_REQUIRE(options_.retry_backoff_seconds >= 0.0, "negative backoff");
-  if (options_.mode == Mode::HelperThread) {
-    worker_ = std::thread([this] { worker_loop(); });
-  }
-}
+MigrationEngine::MigrationEngine(ObjectRegistry& registry, Mode /*mode*/)
+    : registry_(registry), worker_([this] { worker_loop(); }) {}
 
 MigrationEngine::~MigrationEngine() {
-  if (options_.mode == Mode::HelperThread) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stop_ = true;
-    }
-    cv_enqueue_.notify_all();
-    worker_.join();
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
+  cv_enqueue_.notify_all();
+  worker_.join();
 }
 
 void MigrationEngine::enqueue(const MigrationRequest& req) {
-  {
-    // Degradation: once an object is pinned to NVM, later attempts to
-    // promote it are known to fail — drop them instead of burning the
-    // helper thread on doomed copies.
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (req.dst == memsim::kDram && nvm_pinned_.contains(req.object)) {
-      ++cancelled_;
-      trace::global_counters().get("migrate.cancelled").increment();
-      completed_tag_ = std::max(completed_tag_, req.tag);
-      return;
-    }
-  }
-  if (options_.mode == Mode::Inline) {
-    execute(req);
-    const std::lock_guard<std::mutex> lock(mutex_);
-    completed_tag_ = std::max(completed_tag_, req.tag);
-    return;
-  }
   std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
+    // Degradation: once an object is pinned, later attempts to promote it
+    // are known to fail — drop them instead of burning the helper thread
+    // on doomed copies.
+    if (req.dst != registry_.capacity_tier() && pinned_.contains(req.object)) {
+      ++cancelled_;
+      trace::global_counters().get("migrate.cancelled").increment();
+      return;
+    }
     TAHOE_REQUIRE(!stop_, "enqueue after engine shutdown");
     queue_.push_back(req);
     if (trace::histograms_enabled()) {
@@ -90,26 +68,22 @@ void MigrationEngine::execute(const MigrationRequest& req) {
   const bool hist = trace::histograms_enabled();
   const double begin = (traced || hist) ? trace::now_seconds() : 0.0;
 
-  // Chaos hook: a stalled copy. Only slept in helper mode — inline mode
-  // backs the deterministic simulator, where time is modeled, not spent.
-  if (options_.mode == Mode::HelperThread) {
-    sleep_seconds(fault::global().stall_seconds());
-  }
+  // Chaos hook: a stalled copy.
+  sleep_seconds(fault::global().stall_seconds());
 
   MigrateResult res = registry_.try_migrate_chunk(req.object, req.chunk,
                                                   req.dst);
   // Transient aborts get bounded retries with doubling backoff; exhaustion
   // does not (retrying a full tier without eviction cannot succeed).
-  double backoff = options_.retry_backoff_seconds;
+  double backoff = kRetryBackoffSeconds;
   for (int attempt = 0;
-       res == MigrateResult::kAborted && attempt < options_.max_retries;
-       ++attempt) {
+       res == MigrateResult::kAborted && attempt < kMaxRetries; ++attempt) {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++retried_;
     }
     trace::global_counters().get("migrate.retried").increment();
-    if (options_.mode == Mode::HelperThread) sleep_seconds(backoff);
+    sleep_seconds(backoff);
     backoff *= 2.0;
     res = registry_.try_migrate_chunk(req.object, req.chunk, req.dst);
   }
@@ -130,6 +104,7 @@ void MigrationEngine::execute(const MigrationRequest& req) {
     tracer.emit(ev);
   }
   if (ok && src != req.dst) {
+    // Bytes into tier 0 vs everywhere else (perfbench reads both names).
     static trace::Counter& to_dram =
         trace::global_counters().get("migrate.bytes.to_dram");
     static trace::Counter& to_nvm =
@@ -148,20 +123,20 @@ void MigrationEngine::execute(const MigrationRequest& req) {
                                       << " rejected: no space on tier "
                                       << req.dst);
   } else if (res == MigrateResult::kAborted) {
-    // Degrade: give up on this request and pin the object to NVM so the
-    // planner stops scheduling promotions that keep failing.
+    // Degrade: give up on this request and pin the object to the capacity
+    // tier so later promotions that would keep failing are dropped.
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       ++aborted_;
-      if (req.dst == memsim::kDram && nvm_pinned_.insert(req.object).second) {
+      if (req.dst != registry_.capacity_tier() &&
+          pinned_.insert(req.object).second) {
         pin_order_.push_back(req.object);
       }
     }
     trace::global_counters().get("migrate.aborted").increment();
     TAHOE_WARN("migration of object " << req.object << " chunk " << req.chunk
                                       << " abandoned after "
-                                      << options_.max_retries
-                                      << " retries; object pinned to NVM");
+                                      << kMaxRetries << " retries");
   }
 }
 
@@ -191,14 +166,12 @@ void MigrationEngine::worker_loop() {
     {
       const std::lock_guard<std::mutex> lock(mutex_);
       active_.reset();
-      completed_tag_ = std::max(completed_tag_, req.tag);
     }
     cv_done_.notify_all();
   }
 }
 
 void MigrationEngine::wait_tag(std::uint64_t tag) {
-  if (options_.mode == Mode::Inline) return;
   std::unique_lock<std::mutex> lock(mutex_);
   cv_done_.wait(lock, [this, tag] {
     if (active_ && active_->tag <= tag) return false;
@@ -210,7 +183,6 @@ void MigrationEngine::wait_tag(std::uint64_t tag) {
 }
 
 bool MigrationEngine::wait_tag_for(std::uint64_t tag, double timeout_seconds) {
-  if (options_.mode == Mode::Inline) return true;
   std::unique_lock<std::mutex> lock(mutex_);
   return cv_done_.wait_for(
       lock, std::chrono::duration<double>(timeout_seconds), [this, tag] {
@@ -243,7 +215,6 @@ std::size_t MigrationEngine::cancel_tag(std::uint64_t tag) {
 }
 
 void MigrationEngine::drain() {
-  if (options_.mode == Mode::Inline) return;
   std::unique_lock<std::mutex> lock(mutex_);
   cv_done_.wait(lock, [this] { return queue_.empty() && !active_; });
 }
@@ -275,7 +246,7 @@ std::vector<ObjectId> MigrationEngine::degraded_objects() const {
 
 bool MigrationEngine::is_pinned(ObjectId id) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return nvm_pinned_.contains(id);
+  return pinned_.contains(id);
 }
 
 std::size_t MigrationEngine::pending() const {

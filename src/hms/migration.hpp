@@ -5,12 +5,8 @@
 // redirection via the ObjectRegistry) in parallel with application
 // execution. The queue doubles as the synchronization mechanism: at a phase
 // boundary the runtime calls wait_tag() to ensure the moves needed by the
-// upcoming tasks have completed.
-//
-// The engine also supports inline mode (no thread), which the
-// deterministic simulation executor uses: there, copy *timing* is modeled
-// as a flow in the fluid simulator while the data movement itself is done
-// synchronously at the modeled completion point.
+// upcoming tasks have completed. (The simulator does not use this engine:
+// SimExecutor models copies as flows and moves placement itself.)
 #pragma once
 
 #include <condition_variable>
@@ -33,38 +29,34 @@ struct MigrationRequest {
   /// Monotonic tag; wait_tag(t) blocks until all requests with tag <= t
   /// are done. The runtime tags requests with the phase that needs them.
   std::uint64_t tag = 0;
-  /// Stamped by enqueue() in helper mode when histograms are enabled; the
-  /// dequeue side records the queue-wait latency from it. 0 = unstamped.
+  /// Stamped by enqueue() when histograms are enabled; the dequeue side
+  /// records the queue-wait latency from it. 0 = unstamped.
   double enqueue_seconds = 0.0;
 };
 
 class MigrationEngine {
  public:
-  enum class Mode { HelperThread, Inline };
+  /// The engine always runs one helper thread. The single-value enum stays
+  /// because the benchmark harness (perfbench/) spells
+  /// `MigrationEngine(registry, Mode::HelperThread)`.
+  enum class Mode { HelperThread };
 
-  /// Degradation knobs. Defaults match the pre-fault-injection engine
-  /// except that transient copy aborts are now retried.
-  struct Options {
-    Mode mode = Mode::HelperThread;
-    /// Retries after a transient (aborted) copy before giving up on the
-    /// request and pinning its object to NVM.
-    int max_retries = 3;
-    /// Initial backoff between retries; doubles per attempt. Only slept in
-    /// HelperThread mode so inline (simulation) runs stay instantaneous.
-    double retry_backoff_seconds = 50e-6;
-  };
+  /// Retries after a transient (aborted) copy before giving up on the
+  /// request and pinning its object to the capacity tier.
+  static constexpr int kMaxRetries = 3;
+  /// Backoff before the first retry; doubles per attempt.
+  static constexpr double kRetryBackoffSeconds = 50e-6;
 
-  MigrationEngine(ObjectRegistry& registry, Mode mode);
-  MigrationEngine(ObjectRegistry& registry, const Options& options);
+  explicit MigrationEngine(ObjectRegistry& registry,
+                           Mode mode = Mode::HelperThread);
   ~MigrationEngine();
 
   MigrationEngine(const MigrationEngine&) = delete;
   MigrationEngine& operator=(const MigrationEngine&) = delete;
 
-  /// Enqueue a request (helper mode) or execute it immediately (inline
-  /// mode). Never blocks in helper mode. DRAM-bound requests for objects
-  /// that earlier degraded to pinned-NVM are dropped (counted as
-  /// cancelled).
+  /// Enqueue a request for the helper thread; never blocks. Promotions
+  /// (any destination but the registry's capacity tier) of objects that
+  /// earlier degraded to pinned are dropped (counted as cancelled).
   void enqueue(const MigrationRequest& req);
 
   /// Block until every request with tag <= `tag` has been processed.
@@ -94,20 +86,18 @@ class MigrationEngine {
   /// Requests cancelled before execution (cancel_tag or pinned-object drop).
   std::uint64_t cancelled() const;
 
-  /// Objects pinned to NVM after repeated copy failures, in pin order.
+  /// Objects pinned to the capacity tier after repeated copy failures, in
+  /// pin order.
   std::vector<ObjectId> degraded_objects() const;
   bool is_pinned(ObjectId id) const;
 
   std::size_t pending() const;
-  Mode mode() const noexcept { return options_.mode; }
-  const Options& options() const noexcept { return options_; }
 
  private:
   void worker_loop();
   void execute(const MigrationRequest& req);
 
   ObjectRegistry& registry_;
-  Options options_;
 
   mutable std::mutex mutex_;
   std::condition_variable cv_enqueue_;
@@ -116,12 +106,11 @@ class MigrationEngine {
   /// Request currently executing on the helper thread; wait_tag/drain/
   /// pending treat it as outstanding even though it left the queue.
   std::optional<MigrationRequest> active_;
-  std::uint64_t completed_tag_ = 0;  // all tags <= this are done
   std::uint64_t rejected_ = 0;
   std::uint64_t retried_ = 0;
   std::uint64_t aborted_ = 0;
   std::uint64_t cancelled_ = 0;
-  std::unordered_set<ObjectId> nvm_pinned_;
+  std::unordered_set<ObjectId> pinned_;
   std::vector<ObjectId> pin_order_;
   bool stop_ = false;
   std::thread worker_;

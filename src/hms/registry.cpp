@@ -230,31 +230,16 @@ void ObjectRegistry::register_alias(ObjectId id, void** slot) {
   *slot = obj.chunk(0).data();
 }
 
-void ObjectRegistry::set_fallback_order(std::vector<memsim::TierId> order) {
-  for (const memsim::TierId t : order) {
-    TAHOE_REQUIRE(t < arenas_.size(), "fallback tier out of range");
-  }
-  const std::lock_guard<std::mutex> lock(mutex_);
-  fallback_order_ = std::move(order);
-}
-
 void* ObjectRegistry::alloc_with_fallback(std::uint64_t bytes,
                                           memsim::DeviceId initial,
                                           memsim::DeviceId& chosen) {
-  // Tier order: requested tier first, then the fallback chain. By default
-  // the chain is every other tier in device order (DRAM-requested objects
-  // degrade toward the capacity tier, mirroring the runtime's
-  // fallback-to-slow-tier policy; never silently "upgrade" capacity). A
-  // configured chain restricts and reorders the tiers tried.
+  // Tier order: requested tier first, then every other tier in device
+  // order. A fastest-tier request degrades toward the capacity tier, but a
+  // mid-tier request tries the faster tiers before the slower ones, so it
+  // can land on a faster tier than it asked for.
   std::vector<memsim::DeviceId> order{initial};
-  if (fallback_order_.empty()) {
-    for (memsim::DeviceId d = 0; d < arenas_.size(); ++d) {
-      if (d != initial) order.push_back(d);
-    }
-  } else {
-    for (const memsim::TierId t : fallback_order_) {
-      if (t != initial) order.push_back(t);
-    }
+  for (memsim::DeviceId d = 0; d < arenas_.size(); ++d) {
+    if (d != initial) order.push_back(d);
   }
   fault::FaultInjector& inj = fault::global();
   for (const memsim::DeviceId dev : order) {
@@ -326,8 +311,6 @@ MigrateResult ObjectRegistry::try_migrate_chunk(ObjectId id, std::size_t chunk,
 
   ++stats_.migrations;
   stats_.bytes_moved += c.bytes;
-  if (dst == memsim::kDram) ++stats_.to_dram;
-  if (dst == memsim::kNvm) ++stats_.to_nvm;
   if (stats_.to_tier.size() < arenas_.size()) {
     stats_.to_tier.resize(arenas_.size(), 0);
   }

@@ -13,8 +13,8 @@
 // offsets — see layout.hpp for the map. The registry hands out
 // generation-tagged ObjectIds into a fixed-capacity slot table with an
 // intrusive free list, so destroyed slots are recycled and stale ids are
-// detected. Statistics, mutexes and the fallback configuration stay
-// process-local: they are this runtime's view, not shared state.
+// detected. Statistics and mutexes stay process-local: they are this
+// runtime's view, not shared state.
 #pragma once
 
 #include <atomic>
@@ -36,14 +36,10 @@ namespace tahoe::hms {
 struct MigrationStats {
   std::uint64_t migrations = 0;        ///< chunk moves performed
   std::uint64_t bytes_moved = 0;       ///< total bytes copied
-  std::uint64_t to_dram = 0;           ///< moves into tier 0 (the fastest)
-  std::uint64_t to_nvm = 0;            ///< moves into tier 1
   std::uint64_t failed_no_space = 0;   ///< refused: destination arena full
   std::uint64_t copy_aborts = 0;       ///< copies aborted mid-flight
   std::uint64_t alloc_fallbacks = 0;   ///< creates that fell back to another tier
-  /// Moves into each destination tier, indexed by TierId (sized on first
-  /// use; to_tier[kDram] == to_dram and to_tier[kNvm] == to_nvm on
-  /// two-tier machines).
+  /// Moves into each destination tier, indexed by TierId (sized on first use).
   std::vector<std::uint64_t> to_tier;
   /// Bytes moved per owning tenant, indexed by OwnerId (sized on first
   /// use; moves of unowned objects are not recorded here).
@@ -121,13 +117,6 @@ class ObjectRegistry {
                                                        : arenas_.size() - 1);
   }
 
-  /// Configure the chain of tiers tried when an allocation's requested
-  /// tier is full (default: every other tier in device order). The chain
-  /// lists tiers to try *after* the requested one; entries equal to the
-  /// requested tier are skipped, tiers missing from the chain are never
-  /// tried. Pass an empty chain to restore the default.
-  void set_fallback_order(std::vector<memsim::TierId> order);
-
   const MigrationStats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = MigrationStats{}; }
 
@@ -152,8 +141,9 @@ class ObjectRegistry {
 
  private:
   /// Allocate `bytes` on `initial`, retrying through injected failures and
-  /// falling back to the other tiers (Unimem-style fallback-to-NVM
-  /// semantics). Returns nullptr only when every tier is truly full.
+  /// then trying every other tier in device order (fastest first), so a
+  /// request for a middle tier may land on a faster one. Returns nullptr
+  /// only when every tier is truly full.
   /// `chosen` receives the tier that served the allocation.
   void* alloc_with_fallback(std::uint64_t bytes, memsim::DeviceId initial,
                             memsim::DeviceId& chosen);
@@ -171,7 +161,6 @@ class ObjectRegistry {
   Segment segment_;
   std::uint64_t root_off_ = 0;
   std::vector<std::unique_ptr<Arena>> arenas_;
-  std::vector<memsim::TierId> fallback_order_;  ///< empty = device order
   mutable std::mutex mutex_;
   MigrationStats stats_;
   /// Destination tiers already warned about a refused (no-space) migration

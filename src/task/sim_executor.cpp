@@ -19,7 +19,6 @@ constexpr std::uint64_t kCopyBit = 1ULL << 63;
 struct CopyState {
   bool fired = false;
   bool done = false;
-  bool in_flight = false;
   memsim::DeviceId src = memsim::kDram;  ///< captured at start for tracing
 };
 
@@ -133,7 +132,6 @@ SimReport SimExecutor::run(const TaskGraph& graph,
           machine.copy_flow(c.bytes, src, c.dst, kCopyBit | idx);
       const memsim::FlowId fid = sim.start_flow(spec);
       copy_flow_to_idx[fid] = idx;
-      copy_state[idx].in_flight = true;
       copy_state[idx].src = src;
       in_flight_copy = idx;
       if (tracer != nullptr) {
@@ -172,7 +170,6 @@ SimReport SimExecutor::run(const TaskGraph& graph,
         .get("migrate.bytes.t" + std::to_string(copy_state[idx].src) + "_t" +
              std::to_string(c.dst))
         .add(c.bytes);
-    copy_state[idx].in_flight = false;
     copy_state[idx].done = true;
     placement.set(c.object, c.chunk, c.dst);
     ++report.copies_done;

@@ -8,52 +8,52 @@ namespace tahoe::core {
 namespace {
 
 TEST(AdaptiveMonitor, StableWorkloadDoesNotTrigger) {
-  AdaptiveMonitor mon(0.10);
+  AdaptiveMonitor mon;
   mon.set_baseline({1.0, 2.0, 3.0});
   EXPECT_FALSE(mon.deviates({1.0, 2.0, 3.0}));
   EXPECT_FALSE(mon.deviates({1.05, 2.05, 3.05}));  // < 10%
 }
 
 TEST(AdaptiveMonitor, GroupDeviationTriggers) {
-  AdaptiveMonitor mon(0.10);
+  AdaptiveMonitor mon;
   mon.set_baseline({1.0, 2.0, 3.0});
   EXPECT_TRUE(mon.deviates({1.0, 2.5, 3.0}));  // group 1 off by 25%
 }
 
 TEST(AdaptiveMonitor, TotalDeviationTriggers) {
-  AdaptiveMonitor mon(0.10);
+  AdaptiveMonitor mon;
   mon.set_baseline({1.0, 1.0, 1.0});
   EXPECT_TRUE(mon.deviates({1.08, 1.08, 1.2}));  // total off by ~12%
 }
 
 TEST(AdaptiveMonitor, TinyGroupsIgnored) {
-  AdaptiveMonitor mon(0.10);
+  AdaptiveMonitor mon;
   // Group 0 carries <1% of the iteration: its noise must not trigger.
   mon.set_baseline({0.001, 10.0});
   EXPECT_FALSE(mon.deviates({0.002, 10.0}));
 }
 
 TEST(AdaptiveMonitor, ShapeChangeTriggers) {
-  AdaptiveMonitor mon(0.10);
+  AdaptiveMonitor mon;
   mon.set_baseline({1.0, 2.0});
   EXPECT_TRUE(mon.deviates({1.0, 2.0, 0.5}));
 }
 
 TEST(AdaptiveMonitor, RequiresBaseline) {
-  AdaptiveMonitor mon(0.10);
+  AdaptiveMonitor mon;
   EXPECT_FALSE(mon.has_baseline());
   EXPECT_THROW(mon.deviates({1.0}), ContractError);
   mon.set_baseline({1.0});
   EXPECT_TRUE(mon.has_baseline());
 }
 
-TEST(AdaptiveMonitor, ThresholdConfigurable) {
-  AdaptiveMonitor strict(0.01);
-  strict.set_baseline({1.0});
-  EXPECT_TRUE(strict.deviates({1.05}));
-  AdaptiveMonitor lax(0.50);
-  lax.set_baseline({1.0});
-  EXPECT_FALSE(lax.deviates({1.3}));
+TEST(AdaptiveMonitor, ThresholdIsTenPercent) {
+  AdaptiveMonitor mon;
+  mon.set_baseline({1.0});
+  EXPECT_FALSE(mon.deviates({1.09}));
+  EXPECT_TRUE(mon.deviates({1.11}));
+  EXPECT_FALSE(mon.deviates({0.91}));
+  EXPECT_TRUE(mon.deviates({0.89}));
 }
 
 }  // namespace

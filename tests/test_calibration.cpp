@@ -55,10 +55,12 @@ TEST(Calibration, ToConstantsCarriesThresholds) {
   r.cf_bw = 0.8;
   r.cf_lat = 1.2;
   r.bw_peak_nvm = 5e9;
-  const ModelConstants mc = r.to_constants(0.7, 0.2);
+  const ModelConstants mc = r.to_constants();
   EXPECT_DOUBLE_EQ(mc.cf_bw, 0.8);
-  EXPECT_DOUBLE_EQ(mc.t1, 0.7);
-  EXPECT_DOUBLE_EQ(mc.t2, 0.2);
+  EXPECT_DOUBLE_EQ(mc.cf_lat, 1.2);
+  // The paper's sensitivity thresholds: 80 % and 10 % of peak.
+  EXPECT_DOUBLE_EQ(mc.t1, 0.80);
+  EXPECT_DOUBLE_EQ(mc.t2, 0.10);
   EXPECT_DOUBLE_EQ(mc.bw_peak_nvm, 5e9);
 }
 

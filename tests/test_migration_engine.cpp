@@ -11,15 +11,6 @@
 namespace tahoe::hms {
 namespace {
 
-TEST(MigrationEngine, InlineModeExecutesImmediately) {
-  ObjectRegistry reg({1 * kMiB, 16 * kMiB});
-  const ObjectId id = reg.create("v", 64 * kKiB, memsim::kNvm);
-  MigrationEngine engine(reg, MigrationEngine::Mode::Inline);
-  engine.enqueue(MigrationRequest{id, 0, memsim::kDram, 0});
-  EXPECT_EQ(reg.get(id).device(), memsim::kDram);
-  EXPECT_EQ(engine.pending(), 0u);
-}
-
 TEST(MigrationEngine, HelperThreadDrains) {
   ObjectRegistry reg({4 * kMiB, 16 * kMiB});
   std::vector<ObjectId> ids;

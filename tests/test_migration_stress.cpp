@@ -94,11 +94,7 @@ TEST_F(MigrationStress, AlwaysAbortingCopyPinsObjectDeterministically) {
 
   ObjectRegistry reg({16 * kMiB, 64 * kMiB});
   const ObjectId id = reg.create("doomed", 1 * kMiB, memsim::kNvm);
-  MigrationEngine::Options opts;
-  opts.mode = MigrationEngine::Mode::HelperThread;
-  opts.max_retries = 3;
-  opts.retry_backoff_seconds = 1e-6;
-  MigrationEngine engine(reg, opts);
+  MigrationEngine engine(reg, MigrationEngine::Mode::HelperThread);
 
   engine.enqueue(MigrationRequest{id, 0, memsim::kDram, 0});
   engine.drain();
@@ -117,6 +113,33 @@ TEST_F(MigrationStress, AlwaysAbortingCopyPinsObjectDeterministically) {
   engine.enqueue(MigrationRequest{id, 0, memsim::kNvm, 2});
   engine.drain();
   EXPECT_EQ(reg.get(id).device(), memsim::kNvm);
+}
+
+TEST_F(MigrationStress, NTierAbortPinsAndDropsLaterPromotions) {
+  // On three tiers, a move onto the middle tier is a promotion too: when
+  // it keeps aborting the object is pinned, and later moves onto any tier
+  // but the capacity tier are dropped.
+  fault::FaultConfig cfg;
+  cfg.seed = 1;
+  cfg.migration_abort = 1.0;
+  fault::global().configure(cfg);
+
+  ObjectRegistry reg({4 * kMiB, 16 * kMiB, 64 * kMiB});
+  const ObjectId id = reg.create("doomed", 1 * kMiB, 2);
+  MigrationEngine engine(reg);
+
+  engine.enqueue(MigrationRequest{id, 0, 1, 0});
+  engine.drain();
+  EXPECT_EQ(engine.aborted(), 1u);
+  EXPECT_TRUE(engine.is_pinned(id));
+  EXPECT_EQ(reg.get(id).device(), 2u);
+
+  engine.enqueue(MigrationRequest{id, 0, 1, 1});
+  engine.drain();
+  EXPECT_EQ(engine.cancelled(), 1u);
+  EXPECT_EQ(engine.aborted(), 1u);  // the second move never executed
+  EXPECT_EQ(reg.stats().copy_aborts,
+            static_cast<std::uint64_t>(MigrationEngine::kMaxRetries) + 1);
 }
 
 TEST_F(MigrationStress, CancelTagDropsQueuedButNeverInFlight) {

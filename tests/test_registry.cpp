@@ -40,7 +40,9 @@ TEST(Registry, MigrationPreservesPayloadAndRedirects) {
   }
   EXPECT_EQ(reg.stats().migrations, 1u);
   EXPECT_EQ(reg.stats().bytes_moved, 4096 * sizeof(int));
-  EXPECT_EQ(reg.stats().to_dram, 1u);
+  ASSERT_EQ(reg.stats().to_tier.size(), 2u);
+  EXPECT_EQ(reg.stats().to_tier[memsim::kDram], 1u);
+  EXPECT_EQ(reg.stats().to_tier[memsim::kNvm], 0u);
 }
 
 TEST(Registry, MigrationToSameTierIsNoop) {
@@ -181,21 +183,6 @@ TEST(RegistryNTier, MidTierRequestDegradesDownOnly) {
   EXPECT_EQ(reg.stats().alloc_fallbacks, 1u);
 }
 
-TEST(RegistryNTier, FallbackOrderRestrictsTheChain) {
-  ObjectRegistry reg(caps3());
-  reg.set_fallback_order({2});  // never consider the middle tier
-  const ObjectId id = reg.create("x", 1800 * kKiB, 0);  // too big for tier 0
-  EXPECT_EQ(reg.get(id).device(), 2u);  // tier 1 would fit but is skipped
-  reg.set_fallback_order({});           // restore default device order
-  const ObjectId y = reg.create("y", 1800 * kKiB, 0);
-  EXPECT_EQ(reg.get(y).device(), 1u);
-}
-
-TEST(RegistryNTier, FallbackOrderOutOfRangeThrows) {
-  ObjectRegistry reg(caps3());
-  EXPECT_THROW(reg.set_fallback_order({3}), ContractError);
-}
-
 TEST(RegistryNTier, ToTierStatsTrackEveryDestination) {
   ObjectRegistry reg(caps3());
   const ObjectId id = reg.create("v", 512 * kKiB, 2);
@@ -207,10 +194,6 @@ TEST(RegistryNTier, ToTierStatsTrackEveryDestination) {
   EXPECT_EQ(s.to_tier[0], 1u);
   EXPECT_EQ(s.to_tier[1], 1u);
   EXPECT_EQ(s.to_tier[2], 1u);
-  // Legacy counters stay coherent with the per-tier view on the two
-  // fastest tiers.
-  EXPECT_EQ(s.to_dram, s.to_tier[0]);
-  EXPECT_EQ(s.to_nvm, s.to_tier[1]);
   EXPECT_EQ(s.migrations, 3u);
 }
 

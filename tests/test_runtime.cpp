@@ -184,7 +184,7 @@ TEST(Runtime, RunRealExecutesAndVerifies) {
 
 TEST(Runtime, ConfigContracts) {
   core::RuntimeConfig c = config();
-  c.profile_iterations = 0;
+  c.machine.devices.resize(1);  // one tier: nothing to place between
   EXPECT_THROW(core::Runtime{c}, ContractError);
 }
 
