@@ -32,20 +32,20 @@ int main(int argc, char** argv) {
     auto app_fast = workloads::make_workload(name, config.scale);
     const core::RunReport fast =
         rt_fast.run_static(*app_fast, machine.fastest_tier());
-    bench::append_report_json(fast, config.report_json);
+    core::write_report(fast, config.report_json);
 
     core::Runtime rt_cap(rc);
     auto app_cap = workloads::make_workload(name, config.scale);
     const core::RunReport cap =
         rt_cap.run_static(*app_cap, machine.capacity_tier());
-    bench::append_report_json(cap, config.report_json);
+    core::write_report(cap, config.report_json);
 
     core::Runtime rt(rc);
     auto app = workloads::make_workload(name, config.scale);
     core::TahoePolicy policy(core::calibrate(machine).to_constants());
     const core::RunReport tahoe = rt.run(*app, policy);
-    bench::append_report_json(tahoe, config.report_json);
-    bench::append_explain_json(tahoe, config.explain_out);
+    core::write_report(tahoe, config.report_json);
+    core::write_explain(tahoe, config.explain_out);
 
     std::set<std::pair<std::uint32_t, std::uint32_t>> pairs;
     for (const core::ObjectMigrationRow& o : tahoe.objects) {

@@ -258,7 +258,7 @@ int main(int argc, char** argv) {
   flags.define_int("reps", 11, "repetitions per (mode, workers) cell");
   flags.define_bool("quick", false, "CI smoke: fewer tasks, reps, workers");
   flags.define_bool("csv", false, "emit CSV after the table");
-  bench::register_artifact_flags(flags);
+  core::register_artifact_flags(flags);
   flags.parse_or_exit(argc, argv);
   for (const char* name : {"reps", "tasks", "fib-n", "queens-n"}) {
     if (flags.get_int(name) < 1) {
@@ -271,7 +271,7 @@ int main(int argc, char** argv) {
   // Arms the fault injector and turns on histograms (steal latency, park
   // time, task duration) + tracing with any artifact request; off
   // otherwise so the hot loops stay unperturbed.
-  const bench::ArtifactFlags artifacts = bench::apply_artifact_flags(flags);
+  const core::ArtifactOutputs artifacts = core::apply_artifact_flags(flags);
 
   const bool quick = flags.get_bool("quick");
   const std::size_t tasks =
@@ -345,7 +345,7 @@ int main(int argc, char** argv) {
            Table::num(percentile(rates, 0.9)),
            std::to_string(reg.get("executor.steals").value() - steals0),
            std::to_string(reg.get("executor.parks").value() - parks0)});
-      bench::append_report_json(report, artifacts.report_json);
+      core::write_report(report, artifacts.report_json);
     }
   }
   bench::emit("executor task throughput (median, p10/p90 of " +

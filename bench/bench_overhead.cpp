@@ -10,6 +10,7 @@
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
+#include "core/artifacts.hpp"
 #include "core/calibration.hpp"
 #include "core/knapsack.hpp"
 #include "core/planner.hpp"
@@ -17,7 +18,6 @@
 #include "memsim/fluid.hpp"
 #include "memsim/sampler.hpp"
 #include "task/graph.hpp"
-#include "trace/chrome_export.hpp"
 #include "trace/counters.hpp"
 #include "trace/histogram.hpp"
 #include "trace/trace.hpp"
@@ -202,7 +202,12 @@ int main(int argc, char** argv) {
     passthrough.push_back(argv[i]);
   }
   int pass_argc = static_cast<int>(passthrough.size());
-  if (!trace_out.empty()) tahoe::trace::global().set_enabled(true);
+  if (!trace_out.empty()) {
+    // Checks the path, starts tracing and exports the timeline at exit.
+    tahoe::core::ArtifactOutputs outputs;
+    outputs.trace_out = trace_out;
+    tahoe::core::arm_artifacts(outputs);
+  }
 
   benchmark::Initialize(&pass_argc, passthrough.data());
   if (benchmark::ReportUnrecognizedArguments(pass_argc, passthrough.data())) {
@@ -210,9 +215,5 @@ int main(int argc, char** argv) {
   }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-
-  if (!trace_out.empty()) {
-    tahoe::trace::export_chrome_trace(tahoe::trace::global(), trace_out);
-  }
   return 0;
 }

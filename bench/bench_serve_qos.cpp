@@ -90,9 +90,9 @@ int main(int argc, char** argv) {
                     "exit non-zero unless QoS strictly improves the "
                     "high-priority tenant's p99 over quota-free");
   flags.define_bool("csv", false, "also emit CSV");
-  bench::register_artifact_flags(flags);
+  core::register_artifact_flags(flags);
   flags.parse_or_exit(argc, argv);
-  const bench::ArtifactFlags artifacts = bench::apply_artifact_flags(flags);
+  const core::ArtifactOutputs artifacts = core::apply_artifact_flags(flags);
 
   memsim::Machine machine = memsim::machines::optane_platform(
       static_cast<std::uint64_t>(flags.get_int("dram-mib")) * kMiB);
@@ -116,7 +116,7 @@ int main(int argc, char** argv) {
     add_tenants(tm, rate_scale);
     opts.enforce_quotas = qos;
     serve::ServeResult r = serve::run_serve(tm, opts);
-    bench::append_report_json(r.report, artifacts.report_json);
+    core::write_report(r.report, artifacts.report_json);
     results.push_back(std::move(r));
   }
   const core::RunReport& qos_report = results[0].report;

@@ -120,10 +120,9 @@ int main(int argc, char** argv) {
                     "enforce the events/sec floor and the >=5x speedup "
                     "over the reference at 100k+ flows");
   flags.define_bool("csv", false, "emit CSV after the table");
-  tahoe::bench::register_artifact_flags(flags);
+  core::register_artifact_flags(flags);
   flags.parse_or_exit(argc, argv);
-  const tahoe::bench::ArtifactFlags artifacts =
-      tahoe::bench::apply_artifact_flags(flags);
+  const core::ArtifactOutputs artifacts = core::apply_artifact_flags(flags);
 
   const bool quick = flags.get_bool("quick");
   std::vector<std::size_t> flow_counts = parse_sizes(flags.get_string("flows"));
@@ -164,7 +163,7 @@ int main(int argc, char** argv) {
         report.iteration_seconds = {reference.seconds};
         report.compute_seconds = reference.seconds;
         report.tasks_executed = flows;
-        tahoe::bench::append_report_json(report, artifacts.report_json);
+        core::write_report(report, artifacts.report_json);
       }
 
       const double speedup =
@@ -183,7 +182,7 @@ int main(int argc, char** argv) {
       report.iteration_seconds = {indexed.seconds};
       report.compute_seconds = indexed.seconds;
       report.tasks_executed = flows;
-      tahoe::bench::append_report_json(report, artifacts.report_json);
+      core::write_report(report, artifacts.report_json);
 
       if (flags.get_bool("check")) {
         if (indexed.events_per_sec() < min_events) {

@@ -1,20 +1,11 @@
 #include "bench_util.hpp"
 
 #include <cstdlib>
-#include <fstream>
 
 #include "baselines/reactive.hpp"
 #include "baselines/xmem.hpp"
 #include "common/assert.hpp"
-#include "common/fault.hpp"
-#include "common/log.hpp"
 #include "core/calibration.hpp"
-#include "trace/chrome_export.hpp"
-#include "trace/counters.hpp"
-#include "trace/flight.hpp"
-#include "trace/histogram.hpp"
-#include "trace/telemetry.hpp"
-#include "trace/trace.hpp"
 
 namespace tahoe::bench {
 
@@ -67,40 +58,12 @@ core::RuntimeConfig runtime_config(const BenchConfig& config) {
   return c;
 }
 
-void append_report_json(const core::RunReport& report,
-                        const std::string& path) {
-  if (path.empty()) return;
-  std::ofstream os(path, std::ios::app);
-  if (!os) {
-    TAHOE_WARN("cannot open report output file '" << path << "'");
-    return;
-  }
-  // Split snapshots: gauges and histograms land in their own JSON objects
-  // so downstream diffing of the monotonic counters stays deterministic.
-  auto& reg = trace::global_counters();
-  report.write_json(os, reg.snapshot_counters(), reg.snapshot_gauges(),
-                    reg.snapshot_histograms());
-  os << '\n';
-}
-
-void append_explain_json(const core::RunReport& report,
-                         const std::string& path) {
-  if (path.empty()) return;
-  std::ofstream os(path, std::ios::app);
-  if (!os) {
-    TAHOE_WARN("cannot open explain output file '" << path << "'");
-    return;
-  }
-  report.write_explain_json(os);
-  os << '\n';
-}
-
 core::RunReport run_static(const std::string& workload,
                            const BenchConfig& config, memsim::DeviceId tier) {
   core::Runtime rt(runtime_config(config));
   auto app = workloads::make_workload(workload, config.scale);
   core::RunReport report = rt.run_static(*app, tier);
-  append_report_json(report, config.report_json);
+  core::write_report(report, config.report_json);
   return report;
 }
 
@@ -117,8 +80,8 @@ core::RunReport run_tahoe(const std::string& workload,
   core::TahoePolicy policy(core::calibrate(rt.machine()).to_constants(),
                            options);
   core::RunReport report = rt.run(*app, policy);
-  append_report_json(report, config.report_json);
-  append_explain_json(report, config.explain_out);
+  core::write_report(report, config.report_json);
+  core::write_explain(report, config.explain_out);
   return report;
 }
 
@@ -128,8 +91,8 @@ core::RunReport run_xmem(const std::string& workload,
   auto app = workloads::make_workload(workload, config.scale);
   baselines::XMemPolicy policy;
   core::RunReport report = rt.run(*app, policy);
-  append_report_json(report, config.report_json);
-  append_explain_json(report, config.explain_out);
+  core::write_report(report, config.report_json);
+  core::write_explain(report, config.explain_out);
   return report;
 }
 
@@ -139,8 +102,8 @@ core::RunReport run_reactive(const std::string& workload,
   auto app = workloads::make_workload(workload, config.scale);
   baselines::ReactiveLruPolicy policy;
   core::RunReport report = rt.run(*app, policy);
-  append_report_json(report, config.report_json);
-  append_explain_json(report, config.explain_out);
+  core::write_report(report, config.report_json);
+  core::write_explain(report, config.explain_out);
   return report;
 }
 
@@ -150,67 +113,18 @@ double normalized(const core::RunReport& run, const core::RunReport& dram) {
   return run.steady_iteration_seconds() / base;
 }
 
-void register_artifact_flags(Flags& flags) {
-  flags.define_string("trace-out", "",
-                      "write a Chrome trace_event JSON timeline here "
-                      "(open in chrome://tracing or Perfetto)");
-  flags.define_string("report-json", "",
-                      "append each run's RunReport as a JSON line here");
-  flags.define_string("explain-out", "",
-                      "append each policy run's plan provenance (candidates, "
-                      "weights, accept/reject reasons) as a JSON line here");
-  fault::register_flags(flags);
-  trace::register_telemetry_flags(flags);
-}
-
-ArtifactFlags apply_artifact_flags(const Flags& flags) {
-  // Chaos benchmarking: arm the global injector when any --fault-* rate is
-  // set (all seeded, so chaos runs replay exactly).
-  fault::configure_from_flags(flags);
-  ArtifactFlags out;
-  out.report_json = flags.get_string("report-json");
-  out.explain_out = flags.get_string("explain-out");
-  out.trace_out = flags.get_string("trace-out");
-  // Latency histograms ride along whenever any artifact is requested; they
-  // are off by default so uninstrumented runs pay only a relaxed load.
-  if (!out.report_json.empty() || !out.explain_out.empty() ||
-      !out.trace_out.empty()) {
-    trace::set_histograms_enabled(true);
-  }
-  if (!out.trace_out.empty()) {
-    // Export at process exit so one invocation (possibly many runs) yields
-    // one timeline. The path outlives the call via a static. The retained
-    // overload stitches back any events the telemetry sampler drained into
-    // the flight-recorder ring before the exit hook runs.
-    static std::string trace_path;
-    const bool first = trace_path.empty();
-    trace_path = out.trace_out;
-    trace::global().set_enabled(true);
-    if (first) {
-      std::atexit([] {
-        trace::export_chrome_trace(trace::global(), trace_path,
-                                   trace::flight().take_retained());
-      });
-    }
-  }
-  // Telemetry sampler + flight recorder; retain drained events only when a
-  // full trace export is also pending (see above).
-  trace::configure_telemetry_from_flags(flags, !out.trace_out.empty());
-  return out;
-}
-
 Flags standard_flags() {
   Flags flags;
   flags.define_string("scale", "bench", "problem scale: test | bench");
   flags.define_bool("csv", false, "also emit CSV");
   flags.define_int("dram-mib", 256, "DRAM tier capacity in MiB");
   flags.define_int("workers", 0, "worker override (0 = machine default)");
-  register_artifact_flags(flags);
+  core::register_artifact_flags(flags);
   return flags;
 }
 
 BenchConfig config_from_flags(const Flags& flags, const std::string& nvm_spec) {
-  const ArtifactFlags artifacts = apply_artifact_flags(flags);
+  const core::ArtifactOutputs artifacts = core::apply_artifact_flags(flags);
   BenchConfig config;
   config.nvm_spec = nvm_spec;
   config.dram_capacity =
@@ -220,8 +134,7 @@ BenchConfig config_from_flags(const Flags& flags, const std::string& nvm_spec) {
                                                      : workloads::Scale::Bench;
   config.report_json = artifacts.report_json;
   config.explain_out = artifacts.explain_out;
-  config.attribution =
-      !config.report_json.empty() || !config.explain_out.empty();
+  config.attribution = artifacts.attribution();
   return config;
 }
 

@@ -10,6 +10,7 @@
 #include "common/flags.hpp"
 #include "common/table.hpp"
 #include "common/units.hpp"
+#include "core/artifacts.hpp"
 #include "core/planner.hpp"
 #include "core/report.hpp"
 #include "core/runtime.hpp"
@@ -24,14 +25,14 @@ struct BenchConfig {
   std::uint64_t nvm_capacity = 16 * kGiB;
   std::uint32_t workers = 0;  ///< 0 = machine default
   workloads::Scale scale = workloads::Scale::Bench;
-  /// When non-empty, every run_* helper appends its RunReport (plus the
-  /// metrics-registry snapshot) as one JSON line to this file.
+  /// When non-empty, every run_* helper writes its RunReport as one JSON
+  /// line here (core::write_report).
   std::string report_json;
-  /// When non-empty, every policy run appends its decision provenance
-  /// (RunReport::write_explain_json) as one JSON line to this file.
+  /// When non-empty, every policy run writes its decision provenance as
+  /// one JSON line here (core::write_explain).
   std::string explain_out;
-  /// Collect per-(task type, object) attribution into the reports. Enabled
-  /// automatically whenever report_json or explain_out is set.
+  /// Collect per-(task type, object) attribution into the reports
+  /// (core::ArtifactOutputs::attribution).
   bool attribution = false;
 };
 
@@ -71,44 +72,12 @@ core::RunReport run_reactive(const std::string& workload,
 /// DRAM-only run.
 double normalized(const core::RunReport& run, const core::RunReport& dram);
 
-/// Parsed artifact-output flag values (apply_artifact_flags).
-struct ArtifactFlags {
-  std::string report_json;
-  std::string explain_out;
-  std::string trace_out;
-};
-
-/// Register the artifact + fault-injection flags (--trace-out,
-/// --report-json, --explain-out, --fault-*) on an existing Flags set.
-/// Benches that roll their own flag set call this instead of duplicating
-/// the registrations; standard_flags() goes through it too, so every
-/// bench exposes the same artifact surface.
-void register_artifact_flags(Flags& flags);
-
-/// Apply the artifact + fault flags after parsing: arm the seeded fault
-/// injector, enable latency histograms whenever any artifact output is
-/// requested, and install the at-exit Chrome-trace export for
-/// --trace-out. Returns the parsed paths.
-ArtifactFlags apply_artifact_flags(const Flags& flags);
-
-/// Standard flag set (--scale, --csv, --dram-mib, --workers, --trace-out,
-/// --report-json, --explain-out); returns the parsed flags after
-/// registering bench defaults.
+/// Standard flag set: --scale, --csv, --dram-mib, --workers plus the
+/// artifact flag set (core::register_artifact_flags).
 Flags standard_flags();
-/// Builds the config; additionally enables global tracing when --trace-out
-/// is set (the Chrome trace is exported at process exit), and turns on
-/// latency histograms + attribution when any artifact output is requested.
+/// Builds the config after core::apply_artifact_flags, which checks the
+/// output paths and arms the instrumentation before the first run.
 BenchConfig config_from_flags(const Flags& flags, const std::string& nvm_spec);
-
-/// Append `report` (with the current counter/gauge/histogram snapshots)
-/// as one JSON line to `path`; no-op when `path` is empty.
-void append_report_json(const core::RunReport& report,
-                        const std::string& path);
-
-/// Append the report's decision provenance (write_explain_json) as one
-/// JSON line to `path`; no-op when `path` is empty.
-void append_explain_json(const core::RunReport& report,
-                         const std::string& path);
 
 /// Print with the standard bench banner; emits CSV too when requested.
 void emit(const std::string& title, const Table& table, bool csv);

@@ -2,19 +2,15 @@
 // With adaptivity enabled the runtime notices the per-phase time deviating
 // by more than 10%, re-profiles, re-decides, and recovers; with a frozen
 // plan the wrong object stays in DRAM forever.
-#include <fstream>
 #include <iomanip>
 #include <iostream>
 
 #include "common/flags.hpp"
 #include "common/units.hpp"
+#include "core/artifacts.hpp"
 #include "core/calibration.hpp"
 #include "core/planner.hpp"
 #include "core/runtime.hpp"
-#include "trace/chrome_export.hpp"
-#include "trace/counters.hpp"
-#include "trace/histogram.hpp"
-#include "trace/trace.hpp"
 #include "workloads/synthetic.hpp"
 
 namespace {
@@ -40,24 +36,12 @@ tahoe::core::RunReport run(bool adaptive, bool attribution) {
 int main(int argc, char** argv) {
   using namespace tahoe;
   Flags flags;
-  flags.define_string("trace-out", "",
-                      "write a Chrome trace_event JSON timeline here");
-  flags.define_string("report-json", "",
-                      "write the adaptive run's RunReport as JSON here");
-  flags.define_string("explain-out", "",
-                      "write the adaptive run's plan provenance as JSON here");
+  core::register_artifact_flags(flags);
   flags.parse_or_exit(argc, argv);
-  const std::string trace_out = flags.get_string("trace-out");
-  const std::string report_json = flags.get_string("report-json");
-  const std::string explain_out = flags.get_string("explain-out");
-  if (!trace_out.empty()) trace::global().set_enabled(true);
-  if (!trace_out.empty() || !report_json.empty() || !explain_out.empty()) {
-    trace::set_histograms_enabled(true);
-  }
-  const bool attribution = !report_json.empty() || !explain_out.empty();
+  const core::ArtifactOutputs artifacts = core::apply_artifact_flags(flags);
 
-  const core::RunReport adaptive = run(true, attribution);
-  const core::RunReport frozen = run(false, attribution);
+  const core::RunReport adaptive = run(true, artifacts.attribution());
+  const core::RunReport frozen = run(false, artifacts.attribution());
 
   std::cout << "iter   adaptive(s)   frozen(s)\n";
   std::cout << std::fixed << std::setprecision(5);
@@ -73,20 +57,7 @@ int main(int argc, char** argv) {
                    adaptive.iteration_seconds.back()
             << "x faster than the frozen plan\n";
 
-  if (!trace_out.empty()) {
-    trace::export_chrome_trace(trace::global(), trace_out);
-  }
-  if (!report_json.empty()) {
-    std::ofstream os(report_json);
-    auto& reg = trace::global_counters();
-    adaptive.write_json(os, reg.snapshot_counters(), reg.snapshot_gauges(),
-                        reg.snapshot_histograms());
-    os << '\n';
-  }
-  if (!explain_out.empty()) {
-    std::ofstream os(explain_out);
-    adaptive.write_explain_json(os);
-    os << '\n';
-  }
+  core::write_report(adaptive, artifacts.report_json);
+  core::write_explain(adaptive, artifacts.explain_out);
   return 0;
 }

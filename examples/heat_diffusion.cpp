@@ -2,38 +2,23 @@
 // real memory through the real executor, with helper-thread migrations
 // driven by a Tahoe decision — then the same application on the simulated
 // timing path for the DRAM/NVM comparison.
-#include <fstream>
 #include <iostream>
 
 #include "common/flags.hpp"
 #include "common/units.hpp"
+#include "core/artifacts.hpp"
 #include "core/calibration.hpp"
 #include "core/planner.hpp"
 #include "core/runtime.hpp"
-#include "trace/chrome_export.hpp"
-#include "trace/counters.hpp"
-#include "trace/histogram.hpp"
-#include "trace/trace.hpp"
 #include "workloads/heat.hpp"
 
 int main(int argc, char** argv) {
   using namespace tahoe;
 
   Flags flags;
-  flags.define_string("trace-out", "",
-                      "write a Chrome trace_event JSON timeline here");
-  flags.define_string("report-json", "",
-                      "write the Tahoe run's RunReport as JSON here");
-  flags.define_string("explain-out", "",
-                      "write the Tahoe run's plan provenance as JSON here");
+  core::register_artifact_flags(flags);
   flags.parse_or_exit(argc, argv);
-  const std::string trace_out = flags.get_string("trace-out");
-  const std::string report_json = flags.get_string("report-json");
-  const std::string explain_out = flags.get_string("explain-out");
-  if (!trace_out.empty()) trace::global().set_enabled(true);
-  if (!trace_out.empty() || !report_json.empty() || !explain_out.empty()) {
-    trace::set_histograms_enabled(true);
-  }
+  const core::ArtifactOutputs artifacts = core::apply_artifact_flags(flags);
 
   core::RuntimeConfig config;
   config.machine = memsim::machines::platform_a(
@@ -54,7 +39,7 @@ int main(int argc, char** argv) {
 
   // ---- simulated timing: DRAM-only vs NVM-only vs Tahoe ----
   config.backing = hms::Backing::Virtual;
-  config.attribution = !report_json.empty() || !explain_out.empty();
+  config.attribution = artifacts.attribution();
   core::Runtime runtime(config);
   workloads::HeatApp dram_app(
       workloads::HeatApp::config_for(workloads::Scale::Test));
@@ -81,20 +66,7 @@ int main(int argc, char** argv) {
             << tahoe.migrations << " migrations, "
             << to_mib(tahoe.bytes_moved) << " MiB moved)\n";
 
-  if (!trace_out.empty()) {
-    trace::export_chrome_trace(trace::global(), trace_out);
-  }
-  if (!report_json.empty()) {
-    std::ofstream os(report_json);
-    auto& reg = trace::global_counters();
-    tahoe.write_json(os, reg.snapshot_counters(), reg.snapshot_gauges(),
-                     reg.snapshot_histograms());
-    os << '\n';
-  }
-  if (!explain_out.empty()) {
-    std::ofstream os(explain_out);
-    tahoe.write_explain_json(os);
-    os << '\n';
-  }
+  core::write_report(tahoe, artifacts.report_json);
+  core::write_explain(tahoe, artifacts.explain_out);
   return 0;
 }

@@ -7,21 +7,14 @@
 //    per-iteration task graph.
 // 3. Run it under the Tahoe runtime and compare with the DRAM-only and
 //    NVM-only extremes.
-#include <fstream>
 #include <iostream>
 
-#include "common/fault.hpp"
 #include "common/flags.hpp"
 #include "common/units.hpp"
+#include "core/artifacts.hpp"
 #include "core/calibration.hpp"
 #include "core/planner.hpp"
 #include "core/runtime.hpp"
-#include "trace/chrome_export.hpp"
-#include "trace/counters.hpp"
-#include "trace/flight.hpp"
-#include "trace/histogram.hpp"
-#include "trace/telemetry.hpp"
-#include "trace/trace.hpp"
 
 namespace {
 
@@ -88,31 +81,17 @@ class QuickstartApp : public core::Application {
 
 int main(int argc, char** argv) {
   tahoe::Flags flags;
-  flags.define_string("trace-out", "",
-                      "write a Chrome trace_event JSON timeline here "
-                      "(open in chrome://tracing or Perfetto)");
-  flags.define_string("report-json", "",
-                      "write the Tahoe run's RunReport as JSON here");
-  flags.define_string("explain-out", "",
-                      "write the Tahoe run's plan provenance (candidates, "
-                      "weights, accept/reject reasons) as JSON here");
   flags.define_string("machine", "platform-a",
                       "machine model: platform-a (DRAM+NVM) or cxl "
                       "(HBM+DRAM+CXL-DRAM+NVM, exercises the N-tier path)");
   flags.define_bool("deterministic", false,
                     "zero out the wall-clock-measured planning cost so "
                     "same-seed runs write byte-identical reports");
-  tahoe::fault::register_flags(flags);
-  tahoe::trace::register_telemetry_flags(flags);
+  core::register_artifact_flags(flags);
   flags.parse_or_exit(argc, argv);
-  tahoe::fault::configure_from_flags(flags);
-  const std::string trace_out = flags.get_string("trace-out");
-  const std::string report_json = flags.get_string("report-json");
-  const std::string explain_out = flags.get_string("explain-out");
-  if (!trace_out.empty() || !report_json.empty() || !explain_out.empty()) {
-    trace::set_histograms_enabled(true);
-  }
-  trace::configure_telemetry_from_flags(flags, !trace_out.empty());
+  // The trace starts with the Tahoe run (start_trace below).
+  const core::ArtifactOutputs artifacts =
+      core::apply_artifact_flags(flags, core::TraceStart::Deferred);
 
   core::RuntimeConfig config;
   const std::string machine_name = flags.get_string("machine");
@@ -135,7 +114,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   config.backing = hms::Backing::Virtual;  // timing-only run
-  config.attribution = !report_json.empty() || !explain_out.empty();
+  config.attribution = artifacts.attribution();
   if (flags.get_bool("deterministic")) config.fixed_decision_seconds = 0.0;
 
   core::Runtime runtime(config);
@@ -158,7 +137,7 @@ int main(int argc, char** argv) {
   // trace covers only this run: the static baselines share the same
   // virtual-time origin, so mixing all three into one timeline would
   // overlay unrelated spans on the same lanes.
-  if (!trace_out.empty()) trace::global().set_enabled(true);
+  core::start_trace();
   core::TahoePolicy policy(
       core::calibrate(runtime.machine()).to_constants());
   const core::RunReport tahoe = runtime.run(tahoe_app, policy);
@@ -181,28 +160,19 @@ int main(int argc, char** argv) {
             << (two_tier ? "DRAM/NVM" : "fast-tier/capacity-tier")
             << " gap\n";
 
-  // The retained overload stitches back any events the telemetry sampler
-  // drained into the flight-recorder ring mid-run.
-  if (!trace_out.empty() &&
-      trace::export_chrome_trace(trace::global(), trace_out,
-                                 trace::flight().take_retained())) {
-    std::cout << "  trace written to " << trace_out
-              << " (open in chrome://tracing or https://ui.perfetto.dev)\n";
+  core::write_report(tahoe, artifacts.report_json);
+  core::write_explain(tahoe, artifacts.explain_out);
+  if (!artifacts.report_json.empty()) {
+    std::cout << "  report written to " << artifacts.report_json << "\n";
   }
-  trace::telemetry().shutdown();  // flush the JSONL stream before exit
-  if (!report_json.empty()) {
-    std::ofstream os(report_json);
-    auto& reg = trace::global_counters();
-    tahoe.write_json(os, reg.snapshot_counters(), reg.snapshot_gauges(),
-                     reg.snapshot_histograms());
-    os << '\n';
-    std::cout << "  report written to " << report_json << "\n";
+  if (!artifacts.explain_out.empty()) {
+    std::cout << "  plan provenance written to " << artifacts.explain_out
+              << "\n";
   }
-  if (!explain_out.empty()) {
-    std::ofstream os(explain_out);
-    tahoe.write_explain_json(os);
-    os << '\n';
-    std::cout << "  plan provenance written to " << explain_out << "\n";
+  if (!artifacts.trace_out.empty()) {
+    std::cout << "  trace written to " << artifacts.trace_out
+              << " at exit (open in chrome://tracing or "
+                 "https://ui.perfetto.dev)\n";
   }
   return 0;
 }

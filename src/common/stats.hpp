@@ -1,5 +1,5 @@
-// Small statistics helpers used by the profiler, the adaptivity monitor and
-// the benchmark harnesses.
+// Small statistics helpers: bench_executor_throughput's median and p10/p90
+// columns, and the tests.
 #pragma once
 
 #include <cstddef>

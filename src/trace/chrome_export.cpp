@@ -108,10 +108,6 @@ void write_chrome_trace(
   os << '\n';
 }
 
-bool export_chrome_trace(Tracer& tracer, const std::string& path) {
-  return export_chrome_trace(tracer, path, {});
-}
-
 bool export_chrome_trace(Tracer& tracer, const std::string& path,
                          const std::vector<TraceEvent>& retained) {
   std::ofstream os(path);

@@ -25,17 +25,15 @@ void write_chrome_trace(
     const std::vector<std::pair<TrackId, std::string>>& track_names,
     std::uint64_t dropped_events = 0);
 
-/// Drain `tracer` and write its trace to `path`. Returns false (after
-/// logging a warning) when the file cannot be opened. Unnamed tracks get a
-/// generated "track <id>" label.
-bool export_chrome_trace(Tracer& tracer, const std::string& path);
-
-/// Same, but prepends `retained` — events the telemetry sampler already
-/// drained into the flight recorder's ring (FlightRecorder::take_retained)
-/// — so a run with both --trace-out and an armed flight recorder still
-/// exports its full timeline. The exporter sorts by timestamp, so the
-/// stitched stream reads identically to a single drain.
+/// Drain `tracer` and write its trace to `path`, prepending `retained` —
+/// events the telemetry sampler already drained into the flight
+/// recorder's ring (FlightRecorder::take_retained) — so a run with both a
+/// trace export and an armed flight recorder still exports its full
+/// timeline. The exporter sorts by timestamp, so the stitched stream reads
+/// identically to a single drain. Unnamed tracks get a generated
+/// "track <id>" label. Returns false (after logging a warning) when the
+/// file cannot be written.
 bool export_chrome_trace(Tracer& tracer, const std::string& path,
-                         const std::vector<TraceEvent>& retained);
+                         const std::vector<TraceEvent>& retained = {});
 
 }  // namespace tahoe::trace

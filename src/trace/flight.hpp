@@ -15,8 +15,7 @@
 // Tracer::drain() is destructive, a run that also wants a full
 // --trace-out timeline would lose every drained event to the ring; the
 // `retain_events` mode keeps a full copy of everything drained, and the
-// chrome exporter's retained-events overload stitches the two back
-// together at exit (chrome_export.hpp).
+// chrome export prepends that copy at exit (chrome_export.hpp).
 //
 // Process-global, like the tracer / counter registry / fault injector:
 // the dump triggers live in layers (sampler, signal handler) that cannot

@@ -558,38 +558,6 @@ TelemetryConfig telemetry_config_from_flags(const Flags& flags) {
   return config;
 }
 
-void configure_telemetry_from_flags(const Flags& flags,
-                                    bool retain_trace_events) {
-  // Flight first: the sampler's activation check consults armed().
-  const std::string flight_out = flags.get_string("flight-out");
-  if (!flight_out.empty()) {
-    FlightRecorder::Config fc;
-    fc.out_path = flight_out;
-    fc.max_events =
-        static_cast<std::size_t>(flags.get_int("flight-events"));
-    fc.max_intervals =
-        static_cast<std::size_t>(flags.get_int("flight-intervals"));
-    fc.retain_events = retain_trace_events;
-    flight().configure(fc);
-  } else {
-    flight().disarm();
-  }
-  const TelemetryConfig config = telemetry_config_from_flags(flags);
-  telemetry().configure(config);
-  if (telemetry().enabled() && !config.out_path.empty()) {
-    // Interval histogram digests (per-tenant p50/p99) need the recording
-    // sites on, same as the other artifact outputs.
-    set_histograms_enabled(true);
-  }
-  if (telemetry().enabled()) {
-    static bool exit_hooked = false;
-    if (!exit_hooked) {
-      exit_hooked = true;
-      std::atexit([] { telemetry().shutdown(); });
-    }
-  }
-}
-
 void sync_dropped_events_counter() {
   const std::uint64_t dropped = global().dropped();
   if (dropped == 0) return;

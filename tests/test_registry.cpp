@@ -174,12 +174,24 @@ TEST(RegistryNTier, ExhaustedFastTiersCascadeInOrder) {
   EXPECT_EQ(reg.stats().alloc_fallbacks, 2u);
 }
 
-TEST(RegistryNTier, MidTierRequestDegradesDownOnly) {
+TEST(RegistryNTier, MidTierRequestFittingNoFasterTierLandsOnCapacityTier) {
   ObjectRegistry reg(caps3());
-  // A tier-1 request that does not fit must degrade to tier 2; the default
-  // chain also offers tier 0 but 3 MiB cannot fit there either.
+  // A tier-1 request that does not fit tier 1 tries tier 0 first, but
+  // 3 MiB cannot fit there either, so it lands on tier 2.
   const ObjectId id = reg.create("mid", 3 * kMiB, 1);
   EXPECT_EQ(reg.get(id).device(), 2u);
+  EXPECT_EQ(reg.stats().alloc_fallbacks, 1u);
+}
+
+TEST(RegistryNTier, MidTierRequestTriesFasterTierBeforeSlowerOne) {
+  ObjectRegistry reg(caps3());
+  // The chain is the requested tier, then every other tier in device
+  // order: with tier 1 full, a tier-1 request that fits tier 0 lands
+  // there, not on the capacity tier.
+  const ObjectId blocker = reg.create("blocker", 1800 * kKiB, 1);
+  ASSERT_EQ(reg.get(blocker).device(), 1u);
+  const ObjectId id = reg.create("mid", 900 * kKiB, 1);
+  EXPECT_EQ(reg.get(id).device(), 0u);
   EXPECT_EQ(reg.stats().alloc_fallbacks, 1u);
 }
 

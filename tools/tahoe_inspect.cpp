@@ -86,35 +86,36 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  if (segment_stats) {
-    if (flags.get_string("report").empty()) {
-      std::cerr << "tahoe_inspect: --segment-stats requires --report\n";
-      return 2;
+  if (segment_stats && flags.get_string("report").empty()) {
+    std::cerr << "tahoe_inspect: --segment-stats requires --report\n";
+    return 2;
+  }
+
+  // One output for every mode, opened before any input is read.
+  std::ofstream file_out;
+  if (!flags.get_string("out").empty()) {
+    file_out.open(flags.get_string("out"));
+    if (!file_out) {
+      std::cerr << "tahoe_inspect: cannot open output file '"
+                << flags.get_string("out") << "'\n";
+      return 1;
     }
+  }
+  std::ostream& os = file_out.is_open() ? file_out : std::cout;
+
+  if (segment_stats) {
     const auto report = load_json(flags.get_string("report"), "report");
     if (!report) return 1;
     const tahoe::trace::SegmentStats stats =
         tahoe::trace::analyze_segment_stats(*report);
-    std::ofstream file_out;
-    std::ostream* os = &std::cout;
-    if (!flags.get_string("out").empty()) {
-      file_out.open(flags.get_string("out"));
-      if (!file_out) {
-        std::cerr << "tahoe_inspect: cannot open output file '"
-                  << flags.get_string("out") << "'\n";
-        return 1;
-      }
-      os = &file_out;
-    }
     if (format == "json") {
-      tahoe::trace::write_segment_stats_json(*os, stats);
+      tahoe::trace::write_segment_stats_json(os, stats);
     } else {
-      tahoe::trace::write_segment_stats_table(*os, stats);
+      tahoe::trace::write_segment_stats_table(os, stats);
     }
     return 0;
   }
 
-  std::ofstream timeline_file_out;
   if (!timeline_path.empty()) {
     std::ifstream is(timeline_path);
     if (!is) {
@@ -132,20 +133,10 @@ int main(int argc, char** argv) {
                 << timeline_path << "': " << e.what() << '\n';
       return 1;
     }
-    std::ostream* os = &std::cout;
-    if (!flags.get_string("out").empty()) {
-      timeline_file_out.open(flags.get_string("out"));
-      if (!timeline_file_out) {
-        std::cerr << "tahoe_inspect: cannot open output file '"
-                  << flags.get_string("out") << "'\n";
-        return 1;
-      }
-      os = &timeline_file_out;
-    }
     if (format == "json") {
-      tahoe::trace::write_timeline_json(*os, timeline);
+      tahoe::trace::write_timeline_json(os, timeline);
     } else {
-      tahoe::trace::write_timeline_table(*os, timeline);
+      tahoe::trace::write_timeline_table(os, timeline);
     }
     return 0;
   }
@@ -168,21 +159,10 @@ int main(int argc, char** argv) {
       tahoe::trace::analyze(*trace_doc, report ? &*report : nullptr,
                             explain ? &*explain : nullptr);
 
-  std::ofstream file_out;
-  std::ostream* os = &std::cout;
-  if (!flags.get_string("out").empty()) {
-    file_out.open(flags.get_string("out"));
-    if (!file_out) {
-      std::cerr << "tahoe_inspect: cannot open output file '"
-                << flags.get_string("out") << "'\n";
-      return 1;
-    }
-    os = &file_out;
-  }
   if (format == "json") {
-    tahoe::trace::write_analysis_json(*os, analysis);
+    tahoe::trace::write_analysis_json(os, analysis);
   } else {
-    tahoe::trace::write_analysis_tables(*os, analysis);
+    tahoe::trace::write_analysis_tables(os, analysis);
   }
   return 0;
 }

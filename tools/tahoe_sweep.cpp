@@ -8,7 +8,7 @@
 //       [--telemetry-interval 0.01] [--slo-rules "counter:...  < 5"]
 //
 // Each cell forks a child that runs one (workload, policy, nvm) scenario
-// through the bench runners with latency histograms enabled, appending its
+// through the bench runners with latency histograms enabled, writing its
 // RunReport JSON line (the same v2/v3/v4 schema every bench emits) to a
 // per-cell file plus a full-bucket snapshot of every histogram — the
 // report JSON carries only count/percentile digests, which cannot be
@@ -35,10 +35,10 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "common/assert.hpp"
 #include "common/flags.hpp"
 #include "trace/analyze.hpp"
 #include "trace/counters.hpp"
-#include "trace/flight.hpp"
 #include "trace/histogram.hpp"
 #include "trace/json.hpp"
 #include "trace/telemetry.hpp"
@@ -57,13 +57,6 @@ struct Cell {
   std::string flight_path;     ///< cell-prefixed flight dump destination
 };
 
-/// Per-cell telemetry settings forwarded into the children.
-struct SweepTelemetry {
-  double interval = 0.0;  ///< sampling cadence in seconds; 0 disables
-  std::string rules;      ///< --slo-rules pass-through
-  bool enabled() const { return interval > 0.0; }
-};
-
 std::vector<std::string> split_csv(const std::string& csv) {
   std::vector<std::string> out;
   std::stringstream ss(csv);
@@ -76,22 +69,17 @@ std::vector<std::string> split_csv(const std::string& csv) {
 
 /// Child body: run one scenario, write the cell's artifacts, never return.
 [[noreturn]] void run_cell(const Cell& cell, const bench::BenchConfig& base,
-                           const SweepTelemetry& tele) {
-  trace::set_histograms_enabled(true);
-  if (tele.enabled()) {
-    trace::FlightRecorder::Config fc;
-    fc.out_path = cell.flight_path;
-    trace::flight().configure(fc);
-    trace::TelemetryConfig tc;
-    tc.out_path = cell.telemetry_path;
-    tc.interval_seconds = tele.interval;
-    tc.rules = trace::parse_slo_rules(tele.rules);
-    trace::telemetry().configure(tc);
-  }
+                           const trace::TelemetryConfig& telemetry) {
+  core::ArtifactOutputs outputs;
+  outputs.report_json = cell.report_path;
+  outputs.telemetry = telemetry;
+  outputs.telemetry.out_path = cell.telemetry_path;
+  outputs.flight.out_path = cell.flight_path;
+  core::arm_artifacts(outputs);
   bench::BenchConfig config = base;
   config.nvm_spec = cell.nvm_spec;
-  config.report_json = cell.report_path;
-  config.attribution = true;
+  config.report_json = outputs.report_json;
+  config.attribution = outputs.attribution();
 
   core::RunReport report;
   if (cell.policy == "tahoe") {
@@ -108,7 +96,7 @@ std::vector<std::string> split_csv(const std::string& csv) {
     std::cerr << "unknown policy: " << cell.policy << "\n";
     std::_Exit(2);
   }
-  (void)report;  // the runner already appended it to report_path
+  (void)report;  // the runner already wrote it to report_path
   // _Exit skips destructors: flush the telemetry stream by hand.
   trace::telemetry().shutdown();
 
@@ -184,9 +172,25 @@ int main(int argc, char** argv) {
   flags.parse_or_exit(argc, argv);
 
   const std::string out = flags.get_string("out");
-  SweepTelemetry tele;
-  tele.interval = flags.get_double("telemetry-interval");
-  tele.rules = flags.get_string("slo-rules");
+  // The cells' files sit next to --out, so one check covers them all.
+  if (const std::string why = core::output_path_error(out); !why.empty()) {
+    std::cerr << "error: cannot write sweep output '" << out << "': " << why
+              << "\n";
+    return 2;
+  }
+  // Cells sample telemetry only with a positive cadence; the rules are
+  // parsed here once, so a malformed one fails before any cell forks.
+  const bool telemetry_on = flags.get_double("telemetry-interval") > 0.0;
+  trace::TelemetryConfig telemetry;
+  if (telemetry_on) {
+    telemetry.interval_seconds = flags.get_double("telemetry-interval");
+    try {
+      telemetry.rules = trace::parse_slo_rules(flags.get_string("slo-rules"));
+    } catch (const ContractError& e) {
+      std::cerr << "error: " << e.what() << "\n";
+      return 2;
+    }
+  }
   bench::BenchConfig base;
   base.dram_capacity =
       static_cast<std::uint64_t>(flags.get_int("dram-mib")) * kMiB;
@@ -204,7 +208,7 @@ int main(int argc, char** argv) {
         const std::string stem = out + ".cell" + std::to_string(cells.size());
         cell.report_path = stem + ".report.jsonl";
         cell.hist_path = stem + ".hist.json";
-        if (tele.enabled()) {
+        if (telemetry_on) {
           cell.telemetry_path = stem + ".telemetry.jsonl";
           cell.flight_path = stem + ".flight.json";
         }
@@ -242,7 +246,7 @@ int main(int argc, char** argv) {
       std::cerr << "fork failed\n";
       return 1;
     }
-    if (pid == 0) run_cell(cells[i], base, tele);  // never returns
+    if (pid == 0) run_cell(cells[i], base, telemetry);  // never returns
     running.emplace(pid, i);
   }
   while (!running.empty()) reap_one();
@@ -300,7 +304,7 @@ int main(int argc, char** argv) {
       // Telemetry and flight artifacts stay behind as cell-prefixed files
       // regardless of --keep-cells — they are the sweep's observability
       // record, not intermediates. Here we only scan for SLO breaches.
-      if (tele.enabled()) {
+      if (telemetry_on) {
         try {
           const trace::Timeline tl =
               trace::analyze_timeline(read_file(cells[i].telemetry_path));
