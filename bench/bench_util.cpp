@@ -123,15 +123,24 @@ Flags standard_flags() {
   return flags;
 }
 
+workloads::Scale scale_from_flags(const Flags& flags) {
+  const std::string& scale = flags.get_string("scale");
+  if (scale == "test") return workloads::Scale::Test;
+  if (scale == "bench") return workloads::Scale::Bench;
+  std::cerr << "error: unknown --scale '" << scale
+            << "' (expected test or bench)\n";
+  std::exit(2);
+}
+
 BenchConfig config_from_flags(const Flags& flags, const std::string& nvm_spec) {
+  const workloads::Scale scale = scale_from_flags(flags);
   const core::ArtifactOutputs artifacts = core::apply_artifact_flags(flags);
   BenchConfig config;
   config.nvm_spec = nvm_spec;
   config.dram_capacity =
       static_cast<std::uint64_t>(flags.get_int("dram-mib")) * kMiB;
   config.workers = static_cast<std::uint32_t>(flags.get_int("workers"));
-  config.scale = flags.get_string("scale") == "test" ? workloads::Scale::Test
-                                                     : workloads::Scale::Bench;
+  config.scale = scale;
   config.report_json = artifacts.report_json;
   config.explain_out = artifacts.explain_out;
   config.attribution = artifacts.attribution();

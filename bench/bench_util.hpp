@@ -75,6 +75,9 @@ double normalized(const core::RunReport& run, const core::RunReport& dram);
 /// Standard flag set: --scale, --csv, --dram-mib, --workers plus the
 /// artifact flag set (core::register_artifact_flags).
 Flags standard_flags();
+/// --scale as a workload scale; any value but test|bench prints an error
+/// naming it and exits 2.
+workloads::Scale scale_from_flags(const Flags& flags);
 /// Builds the config after core::apply_artifact_flags, which checks the
 /// output paths and arms the instrumentation before the first run.
 BenchConfig config_from_flags(const Flags& flags, const std::string& nvm_spec);

@@ -18,7 +18,17 @@ namespace tahoe {
 /// Error thrown on contract violations (preconditions and invariants).
 class ContractError : public std::logic_error {
  public:
-  explicit ContractError(const std::string& what) : std::logic_error(what) {}
+  explicit ContractError(const std::string& what)
+      : ContractError(what, what) {}
+  ContractError(const std::string& what, const std::string& message)
+      : std::logic_error(what), message_(message) {}
+
+  /// The caller's message alone, without the failed expression and source
+  /// location what() adds: the text for a user-facing usage error.
+  const char* message() const noexcept { return message_.what(); }
+
+ private:
+  std::logic_error message_;  // a copy-safe string, like what()'s
 };
 
 namespace detail {
@@ -28,7 +38,7 @@ namespace detail {
   std::ostringstream os;
   os << kind << " failed: (" << expr << ") at " << file << ':' << line;
   if (!msg.empty()) os << " — " << msg;
-  throw ContractError(os.str());
+  throw ContractError(os.str(), msg.empty() ? os.str() : msg);
 }
 }  // namespace detail
 

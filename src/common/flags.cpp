@@ -128,7 +128,7 @@ std::vector<std::string> Flags::parse_or_exit(int argc,
   try {
     return parse(argc, argv);
   } catch (const ContractError& e) {
-    std::cerr << program << ": " << e.what() << '\n' << usage(program);
+    std::cerr << program << ": " << e.message() << '\n' << usage(program);
     std::exit(2);
   }
 }

@@ -97,7 +97,7 @@ ArtifactOutputs apply_artifact_flags(const Flags& flags, TraceStart start) {
     fault::configure_from_flags(flags);
     return out;
   } catch (const ContractError& e) {
-    std::cerr << "error: " << e.what() << '\n';
+    std::cerr << "error: " << e.message() << '\n';
     std::exit(2);
   }
 }

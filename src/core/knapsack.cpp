@@ -1,6 +1,7 @@
 #include "core/knapsack.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <limits>
@@ -121,6 +122,48 @@ void finalize_multi(MultiTierResult& r, std::span<const MultiTierItem> items,
   }
 }
 
+/// Insertion-ordered set of packed DP states with an open-addressing
+/// index (linear probing, load factor at most 1/2).
+class StateSet {
+ public:
+  void reset(std::size_t expected) {
+    keys_.clear();
+    std::size_t slots = 16;
+    while (slots < 2 * expected) slots *= 2;
+    slots_.assign(slots, 0);
+  }
+
+  /// Index of `key`, inserting it at the end if new.
+  std::uint32_t insert(std::uint64_t key) {
+    if (2 * (keys_.size() + 1) > slots_.size()) {
+      slots_.assign(2 * slots_.size(), 0);
+      for (std::size_t i = 0; i < keys_.size(); ++i) {
+        slots_[free_slot(keys_[i])] = static_cast<std::uint32_t>(i + 1);
+      }
+    }
+    const std::size_t h = free_slot(key);
+    if (slots_[h] != 0) return slots_[h] - 1;
+    keys_.push_back(key);
+    slots_[h] = static_cast<std::uint32_t>(keys_.size());
+    return slots_[h] - 1;
+  }
+
+  const std::vector<std::uint64_t>& keys() const { return keys_; }
+
+ private:
+  /// The slot holding `key`, or the empty slot where it would go.
+  std::size_t free_slot(std::uint64_t key) const {
+    const std::size_t wrap = slots_.size() - 1;
+    std::size_t h = static_cast<std::size_t>(
+        (key * 0x9E3779B97F4A7C15ULL) >> (64 - std::countr_zero(slots_.size())));
+    while (slots_[h] != 0 && keys_[slots_[h] - 1] != key) h = (h + 1) & wrap;
+    return h;
+  }
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint32_t> slots_;  ///< key index + 1; 0 = empty
+};
+
 }  // namespace
 
 MultiTierResult solve_multi(std::span<const MultiTierItem> items,
@@ -162,70 +205,113 @@ MultiTierResult solve_multi(std::span<const MultiTierItem> items,
     finalize_multi(result, items, T);
     return result;
   }
-  std::vector<std::uint64_t> granule(T), cap_g(T);
-  std::size_t num_states = 1;
+
+  // Granule grid per tier; a state is the granules left on every tier,
+  // packed into one key with tier t's coordinate at bit shift[t].
+  const std::size_t n = items.size();
+  std::vector<std::uint64_t> granule(T), cap_g(T), mask(T);
+  std::vector<unsigned> shift(T);
+  unsigned key_bits = 0;
   for (std::size_t t = 0; t < T; ++t) {
     granule[t] = std::max<std::uint64_t>(1, capacities[t] / grid);
     cap_g[t] = capacities[t] / granule[t];
-    num_states *= static_cast<std::size_t>(cap_g[t] + 1);
+    const auto bits = static_cast<unsigned>(std::bit_width(cap_g[t]));
+    shift[t] = key_bits;
+    mask[t] = (std::uint64_t{1} << bits) - 1;
+    key_bits += bits;
+  }
+  TAHOE_ASSERT(key_bits <= 64, "multi-tier DP state does not fit a key");
+
+  // need[k*T + t] = granules item k takes on tier t, or 0 where tier t does
+  // not count for it (no size, no positive value, or larger than the tier).
+  // reach[k*T + t] = the sum of need over items 0..k-1 on tier t.
+  std::vector<std::uint64_t> need(n * T, 0), reach((n + 1) * T, 0);
+  for (std::size_t k = 0; k < n; ++k) {
+    for (std::size_t t = 0; t < T; ++t) {
+      const std::uint64_t g = granules_for(items[k].size, granule[t]);
+      if (items[k].size > 0 && items[k].values[t] > 0.0 && g <= cap_g[t]) {
+        need[k * T + t] = g;
+      }
+      reach[(k + 1) * T + t] = reach[k * T + t] + need[k * T + t];
+    }
   }
 
-  // Flat index strides (tier 0 fastest-varying).
-  std::vector<std::size_t> stride(T);
-  std::size_t s = 1;
-  for (std::size_t t = 0; t < T; ++t) {
-    stride[t] = s;
-    s *= static_cast<std::size_t>(cap_g[t] + 1);
+  // best(k, c) is the best value of items 0..k-1 within c granules. Past
+  // reach[k] a coordinate is slack (items 0..k-1 cannot fill it), so
+  // best(k, c) = best(k, min(c, reach[k])) with every comparison unchanged:
+  // key(k) packs the clamped coordinates of c, and level k holds only the
+  // clamped states reachable from the full-capacity corner.
+  std::vector<std::uint64_t> c(cap_g);
+  const auto key = [&](std::size_t k) {
+    std::uint64_t packed = 0;
+    for (std::size_t t = 0; t < T; ++t) {
+      packed |= std::min(c[t], reach[k * T + t]) << shift[t];
+    }
+    return packed;
+  };
+
+  // Top down: enumerate each level's states. child[k][i*(T+1) + t] is the
+  // level-(k-1) state that placing item k-1 on tier t leads to from state i
+  // of level k (kNone where it does not fit); slot T is the skip.
+  constexpr std::uint32_t kNone = std::numeric_limits<std::uint32_t>::max();
+  const std::size_t width = T + 1;
+  std::vector<std::vector<std::uint32_t>> child(n + 1);
+  StateSet above, below;
+  above.reset(1);
+  above.insert(key(n));
+  for (std::size_t k = n; k > 0; --k) {
+    const std::uint64_t* item_need = &need[(k - 1) * T];
+    below.reset(above.keys().size());
+    child[k].assign(above.keys().size() * width, kNone);
+    for (std::size_t i = 0; i < above.keys().size(); ++i) {
+      const std::uint64_t packed = above.keys()[i];
+      for (std::size_t t = 0; t < T; ++t) c[t] = (packed >> shift[t]) & mask[t];
+      std::uint32_t* to = &child[k][i * width];
+      to[T] = below.insert(key(k - 1));
+      for (std::size_t t = 0; t < T; ++t) {
+        if (item_need[t] == 0 || item_need[t] > c[t]) continue;
+        c[t] -= item_need[t];
+        to[t] = below.insert(key(k - 1));
+        c[t] += item_need[t];
+      }
+    }
+    std::swap(above, below);
   }
 
-  // Forward DP over items; dp[state] = best value with per-tier usage
-  // within the state's granule budget. choice[k][state] = tier picked for
-  // item k at that state (T = capacity tier / skip).
-  std::vector<double> dp(num_states, 0.0), next(num_states, 0.0);
-  std::vector<std::vector<std::uint8_t>> choice(
-      items.size(), std::vector<std::uint8_t>(num_states,
-                                              static_cast<std::uint8_t>(T)));
-  std::vector<std::uint64_t> coord(T);
-  for (std::size_t k = 0; k < items.size(); ++k) {
-    const MultiTierItem& it = items[k];
-    std::fill(coord.begin(), coord.end(), 0);
-    for (std::size_t st = 0; st < num_states; ++st) {
-      double best = dp[st];
-      std::uint8_t pick = static_cast<std::uint8_t>(T);
-      if (it.size > 0) {
-        for (std::size_t t = 0; t < T; ++t) {
-          if (it.values[t] <= 0.0) continue;
-          const std::uint64_t need = granules_for(it.size, granule[t]);
-          if (need > coord[t]) continue;
-          const double with =
-              dp[st - static_cast<std::size_t>(need) * stride[t]] +
-              it.values[t];
-          if (with > best) {
-            best = with;
-            pick = static_cast<std::uint8_t>(t);
-          }
+  // Bottom up: the same recurrence, float additions and strict-> order as
+  // a dense sweep (skip first, then tier 0..T-1), so the same picks.
+  // pick[k][i] = tier chosen for item k-1 at state i of level k (T = skip).
+  std::vector<double> below_value(1, 0.0), value;  // level 0: one state
+  std::vector<std::vector<std::uint8_t>> pick(n + 1);
+  for (std::size_t k = 1; k <= n; ++k) {
+    const std::vector<double>& item_values = items[k - 1].values;
+    const std::size_t count = child[k].size() / width;
+    value.resize(count);
+    pick[k].resize(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::uint32_t* to = &child[k][i * width];
+      double best = below_value[to[T]];
+      std::uint8_t choice = static_cast<std::uint8_t>(T);
+      for (std::size_t t = 0; t < T; ++t) {
+        if (to[t] == kNone) continue;
+        const double with = below_value[to[t]] + item_values[t];
+        if (with > best) {
+          best = with;
+          choice = static_cast<std::uint8_t>(t);
         }
       }
-      next[st] = best;
-      choice[k][st] = pick;
-      // Advance mixed-radix coordinates.
-      for (std::size_t t = 0; t < T; ++t) {
-        if (++coord[t] <= cap_g[t]) break;
-        coord[t] = 0;
-      }
+      value[i] = best;
+      pick[k][i] = choice;
     }
-    dp.swap(next);
+    below_value.swap(value);
   }
 
-  // Reconstruct from the full-capacity state.
-  std::size_t st = num_states - 1;
-  for (std::size_t k = items.size(); k-- > 0;) {
-    const std::uint8_t pick = choice[k][st];
-    if (pick < T) {
-      result.assignment[k] = static_cast<int>(pick);
-      const std::uint64_t need = granules_for(items[k].size, granule[pick]);
-      st -= static_cast<std::size_t>(need) * stride[pick];
-    }
+  // Reconstruct from the full-capacity corner, state 0 of level n.
+  std::size_t i = 0;
+  for (std::size_t k = n; k > 0; --k) {
+    const std::uint8_t choice = pick[k][i];
+    if (choice < T) result.assignment[k - 1] = static_cast<int>(choice);
+    i = child[k][i * width + choice];
   }
   finalize_multi(result, items, T);
   for (std::size_t t = 0; t < T; ++t) {

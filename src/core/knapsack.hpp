@@ -65,9 +65,19 @@ struct MultiTierResult {
 
 /// Scaled multi-dimensional DP. Sizes are rounded *up* to per-tier
 /// granules, so no tier capacity is ever violated. The per-tier grid is
-/// derived from `state_budget` (total DP states allowed), keeping the
+/// derived from `state_budget` (the size of the granule box), keeping the
 /// state space bounded for any tier count. Choices with value <= 0 are
-/// never taken.
+/// never taken. With one constrained tier this is solve() on that grid.
+///
+/// With T >= 2 the DP visits only the states reachable from the
+/// full-capacity corner, one level per item: best(k, c) = max(best(k-1, c),
+/// best(k-1, c - need_k on tier t) + value_k[t]), skip first, then tiers
+/// 0..T-1, taking a choice only on a strictly larger value. Each state's
+/// coordinates are clamped to what items 0..k-1 can fill on that tier;
+/// past that a dimension is slack, so the values, comparisons and hence
+/// the assignment and total are bit-identical to a dense sweep over the
+/// whole granule box. Time and memory follow the reachable states (a few
+/// per item for the planner's small groups), not the box.
 MultiTierResult solve_multi(std::span<const MultiTierItem> items,
                             std::span<const std::uint64_t> capacities,
                             std::size_t state_budget = 1 << 18);

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/rng.hpp"
 #include "core/knapsack.hpp"
@@ -129,6 +131,86 @@ void check_consistent(std::span<const MultiTierItem> items,
     EXPECT_LE(used[t], capacities[t]) << "tier " << t;
     EXPECT_EQ(used[t], r.tier_sizes[t]) << "tier " << t;
   }
+}
+
+/// Reference multi-tier DP: a dense forward sweep over every state of
+/// solve_multi's granule box for every item, with a per-item choice table.
+/// solve_multi's T >= 2 path must match it bit for bit.
+MultiTierResult dense_solve_multi(std::span<const MultiTierItem> items,
+                                  std::span<const std::uint64_t> capacities,
+                                  std::size_t state_budget = 1 << 18) {
+  const std::size_t T = capacities.size();
+  MultiTierResult result;
+  result.assignment.assign(items.size(), -1);
+  const double per_dim =
+      std::pow(static_cast<double>(state_budget), 1.0 / static_cast<double>(T));
+  const std::uint64_t grid = std::max<std::uint64_t>(
+      1, std::min<std::uint64_t>(2048, static_cast<std::uint64_t>(per_dim) - 1));
+  std::vector<std::uint64_t> granule(T), cap_g(T), stride(T);
+  std::size_t num_states = 1;
+  for (std::size_t t = 0; t < T; ++t) {
+    granule[t] = std::max<std::uint64_t>(1, capacities[t] / grid);
+    cap_g[t] = capacities[t] / granule[t];
+    stride[t] = num_states;  // tier 0 fastest-varying
+    num_states *= static_cast<std::size_t>(cap_g[t] + 1);
+  }
+  const auto granules = [&](std::size_t k, std::size_t t) {
+    return (items[k].size + granule[t] - 1) / granule[t];
+  };
+
+  // dp[state] = best value with per-tier usage within the state's granule
+  // budget; choice[k][state] = tier picked for item k there (T = skip).
+  std::vector<double> dp(num_states, 0.0), next(num_states, 0.0);
+  std::vector<std::vector<std::uint8_t>> choice(
+      items.size(),
+      std::vector<std::uint8_t>(num_states, static_cast<std::uint8_t>(T)));
+  std::vector<std::uint64_t> coord(T);
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    const MultiTierItem& it = items[k];
+    std::fill(coord.begin(), coord.end(), 0);
+    for (std::size_t st = 0; st < num_states; ++st) {
+      double best = dp[st];
+      std::uint8_t pick = static_cast<std::uint8_t>(T);
+      if (it.size > 0) {
+        for (std::size_t t = 0; t < T; ++t) {
+          if (it.values[t] <= 0.0) continue;
+          const std::uint64_t need = granules(k, t);
+          if (need > coord[t]) continue;
+          const double with =
+              dp[st - static_cast<std::size_t>(need) * stride[t]] +
+              it.values[t];
+          if (with > best) {
+            best = with;
+            pick = static_cast<std::uint8_t>(t);
+          }
+        }
+      }
+      next[st] = best;
+      choice[k][st] = pick;
+      for (std::size_t t = 0; t < T; ++t) {  // mixed-radix increment
+        if (++coord[t] <= cap_g[t]) break;
+        coord[t] = 0;
+      }
+    }
+    dp.swap(next);
+  }
+
+  std::size_t st = num_states - 1;  // the full-capacity corner
+  result.tier_sizes.assign(T, 0);
+  for (std::size_t k = items.size(); k-- > 0;) {
+    const std::uint8_t pick = choice[k][st];
+    if (pick < T) {
+      result.assignment[k] = static_cast<int>(pick);
+      st -= static_cast<std::size_t>(granules(k, pick)) * stride[pick];
+    }
+  }
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const int t = result.assignment[i];
+    if (t < 0) continue;
+    result.total_value += items[i].values[static_cast<std::size_t>(t)];
+    result.tier_sizes[static_cast<std::size_t>(t)] += items[i].size;
+  }
+  return result;
 }
 
 }  // namespace
@@ -267,6 +349,54 @@ TEST(MultiKnapsack, DeterministicAcrossCalls) {
   const MultiTierResult b = solve_multi(items, caps);
   EXPECT_EQ(a.assignment, b.assignment);
   EXPECT_DOUBLE_EQ(a.total_value, 15.0);  // all three fit across the tiers
+}
+
+TEST(MultiKnapsack, MatchesDenseDpBitForBit) {
+  // Random instances on 2 and 3 constrained tiers, up to 40 items, with
+  // items larger than one tier or every tier, zero and negative values,
+  // integer values (ties) and the coarse state_budget = 256 grid. The
+  // reachable-state DP must make exactly the dense DP's choices.
+  Rng rng(2027);
+  for (int trial = 0; trial < 48; ++trial) {
+    const std::size_t T = 2 + static_cast<std::size_t>(trial % 2);
+    const bool coarse = trial % 4 >= 2;
+    const std::size_t budget = coarse ? 256 : std::size_t{1} << 18;
+    const std::size_t n = 1 + rng.next_below(40);
+    std::vector<std::uint64_t> caps(T);
+    std::uint64_t largest = 0;
+    for (std::uint64_t& cap : caps) {
+      cap = rng.next_below(1u << 20) + (trial % 3 == 0 ? 0 : 1000);
+      largest = std::max(largest, cap);
+    }
+    std::vector<MultiTierItem> items(n);
+    for (MultiTierItem& it : items) {
+      switch (rng.next_below(8)) {
+        case 0: it.size = largest + 1 + rng.next_below(1000); break;
+        case 1: it.size = caps[rng.next_below(T)] + 1; break;
+        case 2: it.size = 0; break;
+        default: it.size = rng.next_below(largest / 6 + 1) + 1; break;
+      }
+      it.values.resize(T);
+      for (double& v : it.values) {
+        switch (rng.next_below(6)) {
+          case 0: v = 0.0; break;
+          case 1: v = -rng.next_double() * 5.0; break;
+          case 2: v = std::round(rng.next_double() * 4.0); break;
+          default: v = rng.next_double() * 10.0; break;
+        }
+      }
+    }
+    const MultiTierResult fast = solve_multi(items, caps, budget);
+    const MultiTierResult dense = dense_solve_multi(items, caps, budget);
+    EXPECT_EQ(fast.assignment, dense.assignment) << "trial " << trial;
+    EXPECT_EQ(std::memcmp(&fast.total_value, &dense.total_value,
+                          sizeof(double)),
+              0)
+        << "trial " << trial << ": " << fast.total_value << " vs "
+        << dense.total_value;
+    EXPECT_EQ(fast.tier_sizes, dense.tier_sizes) << "trial " << trial;
+    check_consistent(items, caps, fast);
+  }
 }
 
 TEST(MultiKnapsack, OracleRejectsHugeInstances) {

@@ -171,6 +171,7 @@ int main(int argc, char** argv) {
                       "every cell (see --telemetry docs)");
   flags.parse_or_exit(argc, argv);
 
+  const workloads::Scale scale = bench::scale_from_flags(flags);
   const std::string out = flags.get_string("out");
   // The cells' files sit next to --out, so one check covers them all.
   if (const std::string why = core::output_path_error(out); !why.empty()) {
@@ -187,15 +188,14 @@ int main(int argc, char** argv) {
     try {
       telemetry.rules = trace::parse_slo_rules(flags.get_string("slo-rules"));
     } catch (const ContractError& e) {
-      std::cerr << "error: " << e.what() << "\n";
+      std::cerr << "error: " << e.message() << "\n";
       return 2;
     }
   }
   bench::BenchConfig base;
   base.dram_capacity =
       static_cast<std::uint64_t>(flags.get_int("dram-mib")) * kMiB;
-  base.scale = flags.get_string("scale") == "bench" ? workloads::Scale::Bench
-                                                    : workloads::Scale::Test;
+  base.scale = scale;
 
   std::vector<Cell> cells;
   for (const std::string& nvm : split_csv(flags.get_string("nvm-specs"))) {
